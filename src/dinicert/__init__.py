@@ -8,11 +8,9 @@ from .families import DiniFamily, Order
 from .bessel import (
     bessel_j,
     bessel_j_prime,
-    gamma_real,
     oracle_closed_form,
     w_eval,
     w_prime_eval,
-    w_series_terms,
 )
 from .zeros import (
     ZeroEntry,
@@ -21,8 +19,6 @@ from .zeros import (
     dini_prime,
     find_zeros,
     ismail_lower_bound,
-    landau_monotonicity_check,
-    smallest_zero_exceeds_one,
 )
 from .criterion import (
     CriticalOrder,
@@ -46,10 +42,10 @@ __all__ = [
     "__version__",
     "DomainError", "NumericFailure", "PoleError",
     "DiniFamily", "Order",
-    "bessel_j", "bessel_j_prime", "gamma_real", "oracle_closed_form",
-    "w_eval", "w_prime_eval", "w_series_terms",
+    "bessel_j", "bessel_j_prime", "oracle_closed_form",
+    "w_eval", "w_prime_eval",
     "ZeroEntry", "ZeroTable", "dini_eval", "dini_prime", "find_zeros",
-    "ismail_lower_bound", "landau_monotonicity_check", "smallest_zero_exceeds_one",
+    "ismail_lower_bound",
     "CriticalOrder", "SumCriterion", "critical_equation", "critical_order",
     "evaluate_criterion", "sum_closed", "sum_truncated",
     "CertReport", "FactorizationCheck", "GridSpec", "certify",

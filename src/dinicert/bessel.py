@@ -1,13 +1,26 @@
 """Bessel functions of the first kind and the normalized family w_{a,nu}.
 
-Everything here is evaluated by the ascending power series with the
-term-ratio recurrence; raw factorials or gamma values never appear past
-the leading term, so no coefficient overflows.  The series for J_nu(x) is
-alternating and its largest term grows like e^x, so plain double
-precision loses roughly 0.43*x digits to cancellation.  Small arguments
-are summed in doubles; beyond that the same series is summed with guard
-digits through mpmath's low-level libmp primitives, which are pure
-functions of (value, precision) and therefore safe to call from any
+Everything downstream needs J_nu(x) and J_{nu+1}(x) together, so the
+pair is one call, ``_j_pair``.  Both come from the ascending power series
+with the term-ratio recurrence; Gamma appears only in the leading term,
+so no coefficient overflows.  The series alternates and its largest term
+grows like e^x, so it loses about 0.43*x digits to cancellation.  There
+are two ways to sum it:
+
+- doubles, for x <= 3: each order is kept when the largest term exceeds
+  the sum by less than 64x.  Against 40-digit mpmath at 2,700 random
+  points with nu up to 171 the worst error is 11 ulp (1.4e-15 relative).
+- one fixed-point pass over Python ints for both orders, for x > 3 and
+  for any order the doubles reject (nu near -1; Gamma(nu + 1) past the
+  double range).  It starts with 73 + 1.443*x bits, adds guard bits while
+  cancellation leaves fewer than 63, and truncates the result to a
+  double, so results are faithfully rounded (error below 1 ulp), not
+  always correctly rounded: against 40-digit mpmath at 300 random points
+  with nu in (-1, 100] and x in (3, 60], 148 values are not the nearest
+  double and the worst error is 0.994 ulp.
+
+All state is local and mpmath's libmp primitives are pure functions of
+(value, precision), so every function here is safe to call from any
 number of threads.
 """
 
@@ -15,21 +28,16 @@ from __future__ import annotations
 
 import cmath
 import math
-from typing import Iterator
 
 import numpy as np
 from mpmath.libmp import (
     fone,
     from_float,
-    from_int,
-    mpf_abs,
+    from_man_exp,
     mpf_add,
     mpf_div,
     mpf_gamma,
-    mpf_lt,
     mpf_mul,
-    mpf_mul_int,
-    mpf_neg,
     mpf_pow,
     mpf_shift,
     round_nearest,
@@ -55,23 +63,15 @@ def _as_nu(order: Order | float) -> float:
     return Order(float(order)).nu
 
 
-def gamma_real(x: float) -> float:
-    """Gamma function for positive real argument.
-
-    Backed by the platform libm implementation (a minimax/Lanczos-class
-    rational approximation with double coefficients), which is well within
-    the 1e-13 relative budget on (0, 50].
-    """
-    x = float(x)
-    if not x > 0.0:
-        raise DomainError("gamma_real requires x > 0")
-    return math.gamma(x)
-
-
 def _j_series_float(nu: float, x: float) -> float | None:
     """Double-precision ascending series; None if cancellation is too deep."""
     try:
-        t = (0.5 * x) ** nu / math.gamma(nu + 1.0)
+        # Gamma(nu + 1) = Gamma(nu) * nu where nu + 1.0 rounds: the rounded
+        # argument would cost up to (nu + 1) ln(nu + 1) ulp.
+        if nu + 1.0 - 1.0 == nu:
+            t = (0.5 * x) ** nu / math.gamma(nu + 1.0)
+        else:
+            t = (0.5 * x) ** nu / nu / math.gamma(nu)
     except OverflowError:
         return None
     s = t
@@ -85,7 +85,7 @@ def _j_series_float(nu: float, x: float) -> float | None:
         a = abs(t)
         if a > maxmag:
             maxmag = a
-        if a < 1e-17 * (1.0 + abs(s)):
+        if a <= 1e-17 * abs(s):
             small += 1
         else:
             small = 0
@@ -97,74 +97,67 @@ def _j_series_float(nu: float, x: float) -> float | None:
     return s
 
 
-def _j_series_libmp(nu: float, x: float, prec: int):
-    """One guarded-precision series pass; returns (sum, cancel_bits)."""
-    xm = from_float(x)
-    half_x = mpf_shift(xm, -1)
-    qneg = mpf_neg(mpf_mul(half_x, half_x, prec, _RN))
-    num = from_float(nu)
-    t = mpf_pow(half_x, num, prec, _RN)
-    t = mpf_div(t, mpf_gamma(mpf_add(num, fone, prec, _RN), prec, _RN), prec, _RN)
-    s = t
-    maxmag = mpf_abs(t)
-    n = 0
-    small = 0
-    while small < 2:
-        den = mpf_mul_int(mpf_add(num, from_int(n + 1), prec, _RN), n + 1, prec, _RN)
-        t = mpf_div(mpf_mul(t, qneg, prec, _RN), den, prec, _RN)
-        s = mpf_add(s, t, prec, _RN)
-        at = mpf_abs(t)
-        if mpf_lt(maxmag, at):
-            maxmag = at
-        if mpf_lt(at, mpf_shift(maxmag, -(prec - 10))):
-            small += 1
-        else:
-            small = 0
-        n += 1
-        if n > 500:
-            raise NumericFailure(f"Bessel series did not converge at nu={nu}, x={x}")
-    if not s[1]:  # exact zero mantissa: no magnitude information
-        return s, prec
-    def _mag(v):  # floor(log2 |v|) + 1 for a normalized libmp tuple
-        return v[2] + v[3]
-    return s, _mag(maxmag) - _mag(s)
+def _j_pair_fixed(nu: float, x: float) -> tuple[float, float]:
+    """(J_nu(x), J_{nu+1}(x)) summed together in Python-int fixed point.
 
-
-def _j_guarded(nu: float, x: float) -> float:
-    """Ascending series in guarded precision, verified against cancellation."""
+    Each series is normalised by its leading term (x/2)^mu / Gamma(mu+1),
+    so both sums start at 1 and tiny results keep their relative accuracy;
+    the prefactors are applied in libmp at the end.  The second order is
+    mu = fl(nu + 1.0).  nu, mu and x are exact binary rationals, so each
+    term ratio (x/2)^2 / (k (k + mu)) is a ratio of integers and a term
+    costs one multiplication and one truncating division.  The sum runs
+    until both terms truncate to zero; the guard grows while cancellation
+    leaves fewer than 63 bits.
+    """
+    mu = nu + 1.0
+    xn, xd = x.as_integer_ratio()
+    p0, q0 = nu.as_integer_ratio()
+    p1, q1 = mu.as_integer_ratio()
+    c0, c1, d = xn * xn * q0, xn * xn * q1, 4 * xd * xd
     prec = 73 + int(1.443 * x)
     for _ in range(4):
-        s, cancel = _j_series_libmp(nu, x, prec)
+        t0 = t1 = s0 = s1 = m0 = m1 = 1 << prec
+        k = 0
+        while t0 or t1:
+            k += 1
+            if k > 500:
+                raise NumericFailure(f"Bessel series did not converge at nu={nu}, x={x}")
+            t0 = t0 * c0 // (d * k * (k * q0 + p0))
+            t1 = t1 * c1 // (d * k * (k * q1 + p1))
+            if k & 1:
+                s0 -= t0
+                s1 -= t1
+            else:
+                s0 += t0
+                s1 += t1
+            m0 = max(m0, t0)
+            m1 = max(m1, t1)
+        cancel = max(m.bit_length() - abs(s).bit_length() if s else prec
+                     for m, s in ((m0, s0), (m1, s1)))
         if cancel <= prec - 63:
-            return to_float(s)
+            return _scaled(s0, nu, x, prec), _scaled(s1, mu, x, prec)
         prec += cancel - (prec - 63) + 20
     raise NumericFailure(f"could not reach target precision at nu={nu}, x={x}")
 
 
-def _j_one(nu: float, x: float) -> float:
-    if x <= _FLOAT_PATH_X_MAX:
-        v = _j_series_float(nu, x)
-        if v is not None:
-            return v
-    return _j_guarded(nu, x)
+def _scaled(s: int, mu: float, x: float, prec: int) -> float:
+    """s * 2^-prec * (x/2)^mu / Gamma(mu + 1), truncated to a double."""
+    m = from_float(mu)
+    lead = mpf_div(mpf_pow(mpf_shift(from_float(x), -1), m, prec, _RN),
+                   mpf_gamma(mpf_add(m, fone, prec, _RN), prec, _RN), prec, _RN)
+    return to_float(mpf_mul(from_man_exp(s, -prec), lead, prec, _RN))
 
 
 def _j_pair(nu: float, x: float) -> tuple[float, float]:
-    """(J_nu(x), J_{nu+1}(x)) at full accuracy."""
-    return _j_one(nu, x), _j_one(nu + 1.0, x)
-
-
-def _j_pair_sign_quality(nu: float, x: float) -> tuple[float, float]:
-    """Reduced-precision pair; accurate to ~1e-9 of the series magnitude.
-
-    Only good for sign decisions during scanning and bisection.
-    """
+    """(J_nu(x), J_{nu+1}(x)): doubles where they suffice, else fixed point."""
+    j0 = j1 = None
     if x <= _FLOAT_PATH_X_MAX:
-        return _j_pair(nu, x)
-    prec = 40 + int(1.443 * x)
-    s0, _ = _j_series_libmp(nu, x, prec)
-    s1, _ = _j_series_libmp(nu + 1.0, x, prec)
-    return to_float(s0), to_float(s1)
+        j0 = _j_series_float(nu, x)
+        j1 = _j_series_float(nu + 1.0, x)
+        if j0 is not None and j1 is not None:
+            return j0, j1
+    f0, f1 = _j_pair_fixed(nu, x)
+    return (f0 if j0 is None else j0), (f1 if j1 is None else j1)
 
 
 def _check_x(x: float) -> float:
@@ -176,8 +169,7 @@ def _check_x(x: float) -> float:
 
 def bessel_j(order: Order | float, x: float) -> float:
     """J_nu(x) for nu > -1 and x in (0, 60], by ascending series."""
-    nu = _as_nu(order)
-    return _j_one(nu, _check_x(x))
+    return _j_pair(_as_nu(order), _check_x(x))[0]
 
 
 def bessel_j_prime(order: Order | float, x: float) -> float:
@@ -191,17 +183,6 @@ def bessel_j_prime(order: Order | float, x: float) -> float:
 def _w_ratio(a: float, nu: float, n: int) -> float:
     """Factor f_n with t_{n+1} = f_n * z * t_n for the w_{a,nu} series."""
     return -(2 * n + 2 + a) / ((2 * n + a) * 4.0 * (n + 1) * (nu + n + 1))
-
-
-def w_series_terms(family: DiniFamily, z: complex) -> Iterator[complex]:
-    """Successive terms t_n of the w_{a,nu} power series, t_0 = z."""
-    a, nu = family.a, family.nu
-    t = complex(z)
-    n = 0
-    while True:
-        yield t
-        t *= _w_ratio(a, nu, n) * z
-        n += 1
 
 
 def _check_disk(z):

@@ -14,9 +14,9 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .bessel import X_MAX, _check_x, _j_pair, _j_pair_sign_quality
+from .bessel import X_MAX, _check_x, _j_pair
 from .errors import DomainError, NumericFailure
-from .families import DiniFamily, Order
+from .families import DiniFamily
 
 SCAN_STEP = 0.25
 MAX_ZEROS = 18
@@ -90,6 +90,10 @@ def _d_from_pair(a: float, x: float, j0: float, j1: float) -> float:
     return a * j0 - x * j1
 
 
+def _dprime_from_pair(a: float, nu: float, x: float, j0: float, j1: float) -> float:
+    return (a * nu / x - x) * j0 + (nu - a) * j1
+
+
 def dini_eval(family: DiniFamily, x: float) -> float:
     """D_{a,nu}(x) = a J_nu(x) - x J_{nu+1}(x) for x in (0, 60]."""
     x = _check_x(x)
@@ -104,8 +108,7 @@ def dini_prime(family: DiniFamily, x: float) -> float:
     """
     x = _check_x(x)
     a, nu = family.a, family.nu
-    j0, j1 = _j_pair(nu, x)
-    return (a * nu / x - x) * j0 + (nu - a) * j1
+    return _dprime_from_pair(a, nu, x, *_j_pair(nu, x))
 
 
 def ismail_lower_bound(family: DiniFamily) -> float:
@@ -122,27 +125,27 @@ def _scale(a: float, x: float, j0: float, j1: float) -> float:
 
 
 def _refine(family: DiniFamily, lo: float, hi: float, flo: float, tol: float) -> ZeroEntry | None:
-    """Bisection to 1e-4 on sign-quality values, then safeguarded Newton on
-    full-precision values, then a certified bracket of width <= tol."""
+    """Bisection to 1e-4, then bracket-safeguarded Newton, then a certified
+    bracket of width <= tol; every value comes from the same _j_pair."""
     a, nu = family.a, family.nu
     slo = math.copysign(1.0, flo)
 
     coarse = max(tol, 1e-4)
     while hi - lo > coarse:
         mid = 0.5 * (lo + hi)
-        j0, j1 = _j_pair_sign_quality(nu, mid)
+        j0, j1 = _j_pair(nu, mid)
         if math.copysign(1.0, _d_from_pair(a, mid, j0, j1)) == slo:
             lo = mid
         else:
             hi = mid
 
     # Newton from the midpoint, falling back to bisection when an iterate
-    # leaves the bracket; full-precision evaluations from here on.
+    # leaves the bracket.
     x = 0.5 * (lo + hi)
     for _ in range(60):
         j0, j1 = _j_pair(nu, x)
         d = _d_from_pair(a, x, j0, j1)
-        dp = (a * nu / x - x) * j0 + (nu - a) * j1
+        dp = _dprime_from_pair(a, nu, x, j0, j1)
         if math.copysign(1.0, d) == slo:
             lo = x
         else:
@@ -175,7 +178,7 @@ def _refine(family: DiniFamily, lo: float, hi: float, flo: float, tol: float) ->
             j0, j1 = _j_pair(nu, root)
             resid = abs(_d_from_pair(a, root, j0, j1))
             scale = max(_scale(a, blo, *jl), _scale(a, bhi, *jh), _scale(a, root, j0, j1))
-            dp = (a * nu / root - root) * j0 + (nu - a) * j1
+            dp = _dprime_from_pair(a, nu, root, j0, j1)
             if abs(dp) <= 1e-8 * scale:
                 raise NumericFailure(
                     f"derivative vanishes at refined zero x={root!r}; "
@@ -214,7 +217,7 @@ def find_zeros(family: DiniFamily, count: int, tol: float = DEFAULT_TOL) -> Zero
     x = max(1e-3, 0.5 * bound)
 
     entries: list[ZeroEntry] = []
-    j0, j1 = _j_pair_sign_quality(nu, x)
+    j0, j1 = _j_pair(nu, x)
     fx = _d_from_pair(a, x, j0, j1)
     while len(entries) < count:
         y = x + SCAN_STEP
@@ -222,7 +225,7 @@ def find_zeros(family: DiniFamily, count: int, tol: float = DEFAULT_TOL) -> Zero
             raise NumericFailure(
                 f"only {len(entries)} sign changes of D_(a={a:g},nu={nu:g}) found "
                 f"below x={X_MAX:g}, needed {count}")
-        j0, j1 = _j_pair_sign_quality(nu, y)
+        j0, j1 = _j_pair(nu, y)
         fy = _d_from_pair(a, y, j0, j1)
         if math.copysign(1.0, fx) != math.copysign(1.0, fy):
             entry = _refine(family, x, y, fx, tol)
@@ -234,7 +237,7 @@ def find_zeros(family: DiniFamily, count: int, tol: float = DEFAULT_TOL) -> Zero
                                      entry.hi, entry.residual))
             # Consecutive zeros are more than 1 apart; skip dead ground.
             x = entry.zero + 0.75
-            j0, j1 = _j_pair_sign_quality(nu, x)
+            j0, j1 = _j_pair(nu, x)
             fx = _d_from_pair(a, x, j0, j1)
         else:
             x, fx = y, fy
@@ -246,25 +249,3 @@ def find_zeros(family: DiniFamily, count: int, tol: float = DEFAULT_TOL) -> Zero
             raise NumericFailure(
                 f"zero spacing {gap:.6g} outside (1, 2*pi); table rejected")
     return ZeroTable(family, tol, tuple(entries))
-
-
-def smallest_zero_exceeds_one(family: DiniFamily) -> tuple[bool, float]:
-    """Whether omega_{a,nu,1} > 1, with the margin omega_1 - 1."""
-    omega1 = find_zeros(family, 1).entries[0].zero
-    return omega1 > 1.0, omega1 - 1.0
-
-
-def landau_monotonicity_check(a: float, nu1: Order | float, nu2: Order | float,
-                              n: int) -> tuple[bool, float]:
-    """Check omega_{a,nu1,n} < omega_{a,nu2,n} for nu1 < nu2 at fixed a.
-
-    Landau's theorem guarantees this whenever gamma + nu = a >= 0; here
-    a > 0 is required so both families are constructible.
-    """
-    v1 = nu1.nu if isinstance(nu1, Order) else Order(float(nu1)).nu
-    v2 = nu2.nu if isinstance(nu2, Order) else Order(float(nu2)).nu
-    if not v1 < v2:
-        raise DomainError("nu1 must be strictly less than nu2")
-    z1 = find_zeros(DiniFamily(a, Order(v1)), n).entries[-1].zero
-    z2 = find_zeros(DiniFamily(a, Order(v2)), n).entries[-1].zero
-    return z1 < z2, z2 - z1

@@ -2,7 +2,9 @@
 
 import cmath
 import math
+import sys
 
+import mpmath
 import numpy as np
 import pytest
 from scipy import special
@@ -13,12 +15,12 @@ from dinicert import (
     Order,
     bessel_j,
     bessel_j_prime,
-    gamma_real,
     oracle_closed_form,
+    sum_closed,
     w_eval,
     w_prime_eval,
-    w_series_terms,
 )
+from dinicert.bessel import _j_pair
 
 
 def j_brute(nu, x, terms=60):
@@ -32,25 +34,46 @@ def j_brute(nu, x, terms=60):
 
 
 class TestGamma:
+    """Gamma(nu + 1) in the leading term (t/2)^nu / Gamma(nu + 1) of J_nu(t).
+
+    At t = 1e-4 the second series term is kept explicitly; the third is
+    below 1e-16 relative for every order used here.
+    """
+
+    T = 1e-4
+
+    def lead(self, nu, gamma_nu1):
+        t = self.T
+        return (0.5 * t) ** nu / gamma_nu1 * (1.0 - t * t / (4.0 * (nu + 1.0)))
+
     def test_one(self):
-        assert gamma_real(1.0) == 1.0
+        # Gamma(1) = 1
+        assert bessel_j(Order(0.0), self.T) == pytest.approx(self.lead(0.0, 1.0), rel=1e-15)
 
     def test_half(self):
-        assert gamma_real(0.5) == pytest.approx(math.sqrt(math.pi), rel=1e-15)
+        # Gamma(1/2) = sqrt(pi) normalizes J_{-1/2}(t) = sqrt(2/(pi t)) cos t
+        expected = math.sqrt(2.0 / (math.pi * self.T)) * math.cos(self.T)
+        assert bessel_j(Order(-0.5), self.T) == pytest.approx(expected, rel=1e-15)
 
     def test_recurrence_value(self):
         # Gamma(4.5) = 3.5 * 2.5 * 1.5 * Gamma(1.5), Gamma(1.5) = sqrt(pi)/2
-        expected = 3.5 * 2.5 * 1.5 * math.sqrt(math.pi) / 2.0
-        assert gamma_real(4.5) == pytest.approx(expected, rel=1e-14)
+        gamma = 3.5 * 2.5 * 1.5 * math.sqrt(math.pi) / 2.0
+        assert bessel_j(Order(3.5), self.T) == pytest.approx(self.lead(3.5, gamma), rel=1e-14)
 
     @pytest.mark.parametrize("x", [0.1, 0.7, 1.9, 7.3, 23.0, 49.5])
     def test_functional_equation(self, x):
-        assert gamma_real(x + 1.0) == pytest.approx(x * gamma_real(x), rel=1e-13)
+        # Gamma(x + 1) = x Gamma(x): the leading terms of J_x and J_{x-1}
+        # differ by the factor (t/2) / x.
+        t = self.T
+        ratio = bessel_j(Order(x), t) / bessel_j(Order(x - 1.0), t)
+        expected = (0.5 * t / x) * (1.0 - t * t / (4.0 * (x + 1.0))) / (1.0 - t * t / (4.0 * x))
+        assert ratio == pytest.approx(expected, rel=1e-13)
 
     @pytest.mark.parametrize("x", [0.0, -1.0, -0.5])
     def test_domain(self, x):
+        # Gamma(nu + 1) needs nu + 1 > 0, which the order validation enforces.
         with pytest.raises(DomainError):
-            gamma_real(x)
+            bessel_j(x - 1.0, 1.0)
 
 
 class TestBesselJ:
@@ -99,6 +122,41 @@ class TestBesselJ:
             bessel_j(Order(0.5), 60.5)
         with pytest.raises(DomainError):
             Order(-1.0)
+
+
+class TestAgainstMpmath:
+    """Both summation paths against 50-digit mpmath, where |J| is far below 1."""
+
+    @staticmethod
+    def ref(nu, x):
+        with mpmath.workdps(50):
+            return mpmath.besselj(nu, x)
+
+    # (127.46..., 1.50...): nu + 1.0 is not a double, and Gamma at the
+    # rounded argument is off by 7e-14.
+    @pytest.mark.parametrize("nu,x", [(15.0, 1.0), (40.0, 2.5), (10.5, 1.0),
+                                      (127.46171375524251, 1.5099264395450418)])
+    def test_double_path_relative_error(self, nu, x):
+        ref = self.ref(nu, x)
+        assert abs(bessel_j(Order(nu), x) - ref) <= 1e-14 * abs(ref)
+
+    def test_sum_closed_high_order(self):
+        # S = -f'(1) / (2 f(1)) for f(x) = x^-nu D_{a,nu}(x), a = 1, nu = 20
+        a, nu = 1, 20
+        with mpmath.workdps(50):
+            f = lambda x: x ** -nu * (a * mpmath.besselj(nu, x)
+                                      - x * mpmath.besselj(nu + 1, x))
+            ref = -mpmath.diff(f, 1) / (2 * f(1))
+        assert abs(sum_closed(DiniFamily(1.0, Order(20.0))) - ref) <= 1e-12 * abs(ref)
+
+    @pytest.mark.parametrize("nu,x", [(30.0, 4.0), (40.0, 4.96), (60.0, 5.0),
+                                      (0.3, 45.0), (10.0, 59.0), (175.0, 2.9)])
+    def test_fixed_point_pair_within_one_ulp(self, nu, x):
+        for mu, value in zip((nu, nu + 1.0), _j_pair(nu, x)):
+            ref = self.ref(mu, x)
+            assert abs(float(ref)) >= sys.float_info.min
+            assert value != 0.0
+            assert abs(value - ref) <= math.ulp(float(ref))
 
 
 class TestBesselJPrime:
@@ -179,20 +237,22 @@ class TestWSeries:
             assert abs(mine - ref) <= 1e-14 * (1.0 + abs(ref))
 
     def test_term_stream_matches_coefficients(self):
+        # The term recurrence of w_eval against 12 explicit-coefficient
+        # terms, which exhaust the series to 1e-16 at |z| = 0.43.
         fam = DiniFamily(1.6, Order(0.8))
         z = 0.37 - 0.21j
-        gen = w_series_terms(fam, z)
+        ref = 0j
         for n in range(12):
-            t = next(gen)
             c = ((-1) ** n * (2 * n + fam.a) * math.gamma(fam.nu + 1)
                  / (fam.a * 4.0 ** n * math.factorial(n)
                     * math.gamma(n + fam.nu + 1)))
-            ref = c * z ** (n + 1)
-            assert abs(t - ref) <= 1e-14 * (1.0 + abs(ref))
+            ref += c * z ** (n + 1)
+        assert abs(w_eval(fam, z) - ref) <= 1e-15
 
     def test_first_term_is_z(self):
-        z = 0.11 + 0.7j
-        assert next(w_series_terms(DiniFamily(0.9, Order(0.2)), z)) == z
+        # Near 0 only the first term z survives in double precision.
+        z = 1e-20 * (0.11 + 0.7j)
+        assert w_eval(DiniFamily(0.9, Order(0.2)), z) == z
 
     def test_outside_disk_rejected(self):
         with pytest.raises(DomainError):

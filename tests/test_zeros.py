@@ -15,9 +15,7 @@ from dinicert import (
     dini_prime,
     find_zeros,
     ismail_lower_bound,
-    landau_monotonicity_check,
     oracle_closed_form,
-    smallest_zero_exceeds_one,
 )
 
 
@@ -138,22 +136,25 @@ class TestFindZeros:
 
 
 class TestSmallestZero:
+    """The hypothesis omega_1 > 1 and its margin, from the first table entry."""
+
+    @staticmethod
+    def margin(a, nu):
+        return find_zeros(DiniFamily(a, Order(nu)), 1).zeros[0] - 1.0
+
     def test_half_integer(self):
-        ok, margin = smallest_zero_exceeds_one(DiniFamily(1.0, Order(0.5)))
-        assert ok and margin == pytest.approx(math.pi / 2.0 - 1.0, abs=1e-10)
+        assert self.margin(1.0, 0.5) == pytest.approx(math.pi / 2.0 - 1.0, abs=1e-10)
 
     def test_tan_family(self):
-        ok, margin = smallest_zero_exceeds_one(DiniFamily(2.0, Order(0.5)))
-        assert ok and margin == pytest.approx(1.0287578381104342, abs=1e-9)
+        assert self.margin(2.0, 0.5) == pytest.approx(1.0287578381104342, abs=1e-9)
 
     def test_dini_at_zero_order(self):
-        ok, _ = smallest_zero_exceeds_one(DiniFamily(1.0, Order(0.0)))
-        assert ok
+        assert self.margin(1.0, 0.0) > 0.0
 
     def test_failing_family(self):
         # D_{1,-1/2} ~ cos x - x sin x has its first zero at cot x = x
-        ok, margin = smallest_zero_exceeds_one(DiniFamily(1.0, Order(-0.5)))
-        assert not ok
+        margin = self.margin(1.0, -0.5)
+        assert margin < 0.0
         assert margin == pytest.approx(0.8603335890193798 - 1.0, abs=1e-9)
 
 
@@ -176,13 +177,8 @@ class TestIsmailBound:
 
 class TestLandau:
     def test_increasing_pairs(self):
-        ok, gap = landau_monotonicity_check(1.0, 0.5, 1.5, 1)
-        assert ok and gap > 0
-        ok, gap = landau_monotonicity_check(2.0, 0.0, 1.0, 2)
-        assert ok and gap > 0
-
-    def test_degenerate_orders(self):
-        with pytest.raises(DomainError):
-            landau_monotonicity_check(1.0, 0.5, 0.5, 1)
-        with pytest.raises(DomainError):
-            landau_monotonicity_check(1.0, 1.5, 0.5, 1)
+        # omega_{a,nu,n} increases with nu at fixed a > 0 (Landau)
+        for a, nu1, nu2, n in ((1.0, 0.5, 1.5, 1), (2.0, 0.0, 1.0, 2)):
+            z1 = find_zeros(DiniFamily(a, Order(nu1)), n).zeros[-1]
+            z2 = find_zeros(DiniFamily(a, Order(nu2)), n).zeros[-1]
+            assert z1 < z2
