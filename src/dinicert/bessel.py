@@ -45,7 +45,7 @@ from mpmath.libmp import (
 )
 
 from .errors import DomainError, NumericFailure
-from .families import DiniFamily, Order
+from .families import DiniFamily, Order, _as_nu
 
 _RN = round_nearest
 
@@ -55,12 +55,6 @@ _FLOAT_PATH_X_MAX = 3.0
 _FLOAT_PATH_CANCEL_MAX = 64.0
 
 X_MAX = 60.0
-
-
-def _as_nu(order: Order | float) -> float:
-    if isinstance(order, Order):
-        return order.nu
-    return Order(float(order)).nu
 
 
 def _j_series_float(nu: float, x: float) -> float | None:

@@ -43,14 +43,6 @@ class GridSpec:
     angles: int
     max_radius: float
 
-    def to_dict(self) -> dict:
-        return {"radii": self.radii, "angles": self.angles,
-                "max_radius": self.max_radius}
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "GridSpec":
-        return cls(int(d["radii"]), int(d["angles"]), float(d["max_radius"]))
-
 
 @dataclass(frozen=True)
 class FactorizationCheck:
@@ -76,32 +68,6 @@ class CertReport:
     min_re_starlike: float | None
     grid: GridSpec
     zero_at_unit_radius: bool = False
-
-    def to_dict(self) -> dict:
-        return {
-            "family": self.family.to_dict(),
-            "verdict": self.verdict,
-            "sum_criterion": None if self.sum_criterion is None
-            else self.sum_criterion.to_dict(),
-            "smallest_zero_margin": self.smallest_zero_margin,
-            "min_re_starlike": self.min_re_starlike,
-            "grid": self.grid.to_dict(),
-            "zero_at_unit_radius": self.zero_at_unit_radius,
-        }
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "CertReport":
-        sc = d["sum_criterion"]
-        mr = d["min_re_starlike"]
-        return cls(
-            DiniFamily.from_dict(d["family"]),
-            str(d["verdict"]),
-            None if sc is None else SumCriterion.from_dict(sc),
-            float(d["smallest_zero_margin"]),
-            None if mr is None else float(mr),
-            GridSpec.from_dict(d["grid"]),
-            bool(d["zero_at_unit_radius"]),
-        )
 
 
 def default_radii(count: int = GRID_RADII, max_radius: float = GRID_MAX_RADIUS) -> list[float]:
@@ -165,7 +131,7 @@ def factorization_check(family: DiniFamily, n_zeros: int = 18,
     w = _w_sum(family.a, family.nu, z, derivative=False)
     prod = z * np.prod(1.0 - z[..., None] / (zs * zs), axis=-1)
     deviation = float(np.max(np.abs(w - prod)))
-    spacing = min(math.pi, table.min_spacing())
+    spacing = table.tail_spacing()
     tail_sum = 1.0 / (spacing * zs[-1])  # >= sum_{n>N} 1/omega_n^2
     envelope = float(np.max(np.abs(prod))) * max_radius * tail_sum
     return FactorizationCheck(n_zeros, deviation, envelope)

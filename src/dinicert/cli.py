@@ -2,15 +2,17 @@
 
 Every command prints a JSON envelope {command, inputs, results,
 diagnostics, version} by default (CSV for tabular data on request).
-Floats are printed with up to 17 significant digits so output is
-byte-stable and re-parses to the exact double.  Data goes to stdout,
-diagnostics to stderr.  Exit codes: 0 success, 1 selftest failure,
+Result dataclasses render field by field in declaration order, so their
+field names are the wire keys.  Floats are printed with up to 17
+significant digits so output is byte-stable and re-parses to the exact
+double.  Data goes to stdout, diagnostics to stderr.  Exit codes: 0 success, 1 selftest failure,
 2 validation error, 3 numeric failure.
 """
 
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import math
 import sys
 
@@ -57,6 +59,9 @@ def _render(obj, indent: int = 0) -> str:
             return "[]"
         inner = ",\n".join(f"{pad}  {_render(v, indent + 1)}" for v in obj)
         return "[\n" + inner + "\n" + pad + "]"
+    if dataclasses.is_dataclass(obj):
+        return _render({f.name: getattr(obj, f.name)
+                        for f in dataclasses.fields(obj)}, indent)
     raise TypeError(f"cannot serialize {type(obj).__name__}")
 
 
@@ -86,7 +91,7 @@ def _cmd_zeros(args) -> tuple[str, int]:
     family = DiniFamily(args.a, Order(args.nu))
     table = find_zeros(family, args.n, args.tol)
     if args.format == "csv":
-        rows = [[e.index, e.zero, e.lo, e.hi, e.residual] for e in table.entries]
+        rows = [[e.n, e.zero, e.lo, e.hi, e.residual] for e in table.entries]
         return _csv(["n", "zero", "lo", "hi", "residual"], rows), 0
     diag = {
         "scan_step": SCAN_STEP,
@@ -97,7 +102,7 @@ def _cmd_zeros(args) -> tuple[str, int]:
     }
     inputs = {"a": family.a, "nu": family.nu, "n": args.n, "tol": args.tol,
               "format": args.format}
-    return _envelope("zeros", inputs, table.to_dict(), diag), 0
+    return _envelope("zeros", inputs, table, diag), 0
 
 
 def _cmd_sum(args) -> tuple[str, int]:
@@ -115,7 +120,7 @@ def _cmd_sum(args) -> tuple[str, int]:
         "tail_bound": crit.tail_bound,
     }
     inputs = {"a": family.a, "nu": family.nu, "n": args.n, "format": args.format}
-    return _envelope("sum", inputs, crit.to_dict(), diag), 0
+    return _envelope("sum", inputs, crit, diag), 0
 
 
 def _cmd_critical(args) -> tuple[str, int]:
@@ -132,7 +137,7 @@ def _cmd_critical(args) -> tuple[str, int]:
         "sum_cross_check_tol": SUM_CROSS_CHECK_TOL,
     }
     inputs = {"a": args.a, "tol": args.tol, "format": args.format}
-    return _envelope("critical", inputs, result.to_dict(), diag), 0
+    return _envelope("critical", inputs, result, diag), 0
 
 
 def _cmd_certify(args) -> tuple[str, int]:
@@ -153,7 +158,7 @@ def _cmd_certify(args) -> tuple[str, int]:
         "sampling_is_corroboration_only": True,
     }
     inputs = {"a": family.a, "nu": family.nu, "n": args.n, "format": args.format}
-    return _envelope("certify", inputs, report.to_dict(), diag), 0
+    return _envelope("certify", inputs, report, diag), 0
 
 
 def _cmd_eval(args) -> tuple[str, int]:
@@ -220,11 +225,7 @@ def _cmd_selftest(args) -> tuple[str, int]:
     code = 1 if failed else 0
     if args.json:
         payload = {
-            "checks": [
-                {"id": r.check_id, "name": r.name, "passed": r.passed,
-                 "detail": r.detail}
-                for r in results
-            ],
+            "checks": results,
             "passed": len(results) - len(failed),
             "failed": len(failed),
         }
@@ -232,7 +233,7 @@ def _cmd_selftest(args) -> tuple[str, int]:
         diag = {"checks_run": len(results)}
         return _envelope("selftest", inputs, payload, diag), code
     lines = [
-        f"check {r.check_id:02d} {'PASS' if r.passed else 'FAIL'} "
+        f"check {r.id:02d} {'PASS' if r.passed else 'FAIL'} "
         f"{r.name}: {r.detail}"
         for r in results
     ]

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 from .bessel import _j_pair
 from .errors import DomainError, NumericFailure, PoleError
-from .families import DiniFamily, Order
+from .families import DiniFamily, _as_nu
 from .zeros import MAX_ZEROS, ZeroTable, find_zeros
 
 POLE_REL = 1e-10
@@ -44,28 +44,6 @@ class SumCriterion:
     tail_bound: float | None
     threshold_margin: float
 
-    def to_dict(self) -> dict:
-        return {
-            "family": self.family.to_dict(),
-            "closed_value": self.closed_value,
-            "truncated_value": self.truncated_value,
-            "terms_used": self.terms_used,
-            "tail_bound": self.tail_bound,
-            "threshold_margin": self.threshold_margin,
-        }
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "SumCriterion":
-        opt = lambda v: None if v is None else float(v)
-        return cls(
-            DiniFamily.from_dict(d["family"]),
-            float(d["closed_value"]),
-            opt(d["truncated_value"]),
-            int(d["terms_used"]),
-            opt(d["tail_bound"]),
-            float(d["threshold_margin"]),
-        )
-
 
 @dataclass(frozen=True)
 class CriticalOrder:
@@ -78,23 +56,6 @@ class CriticalOrder:
     residual: float
     unique_in_scan: bool
     sum_at_root: float
-
-    def to_dict(self) -> dict:
-        return {
-            "a": self.a,
-            "nu_a": self.nu_a,
-            "lo": self.lo,
-            "hi": self.hi,
-            "residual": self.residual,
-            "unique_in_scan": self.unique_in_scan,
-            "sum_at_root": self.sum_at_root,
-        }
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "CriticalOrder":
-        return cls(float(d["a"]), float(d["nu_a"]), float(d["lo"]), float(d["hi"]),
-                   float(d["residual"]), bool(d["unique_in_scan"]),
-                   float(d["sum_at_root"]))
 
 
 def sum_closed(family: DiniFamily) -> float:
@@ -116,13 +77,6 @@ def sum_closed(family: DiniFamily) -> float:
     return -0.5 * num / den
 
 
-def _tail_spacing(table: ZeroTable) -> float:
-    """Spacing usable in the tail bound: pi when the observed spacing is
-    at least pi, otherwise the observed minimum (McMahon fallback)."""
-    observed = table.min_spacing()
-    return math.pi if observed >= math.pi else observed
-
-
 def _tail_bound_from(x0: float, spacing: float) -> float:
     # sum_{k>=1} 1/((x0 + k s)^2 - 1) <= (1/s) * int_x0^inf dt/(t^2-1)
     return math.log((x0 + 1.0) / (x0 - 1.0)) / (2.0 * spacing)
@@ -133,7 +87,7 @@ def _truncated_from_table(table: ZeroTable, n_terms: int) -> tuple[float, float]
     if zs[0] <= 1.0:
         raise NumericFailure(
             "smallest zero does not exceed 1; truncated criterion inapplicable")
-    spacing = _tail_spacing(table)
+    spacing = table.tail_spacing()
     if n_terms == 0:
         # Bound the whole sum from the first computed zero.
         return 0.0, 1.0 / (zs[0] ** 2 - 1.0) + _tail_bound_from(zs[0], spacing)
@@ -176,7 +130,7 @@ def evaluate_criterion(family: DiniFamily, n_terms: int = 12,
 
 def critical_equation(a: float, nu: float) -> float:
     """g(nu) = (2a - 1) J_nu(1) - (a - 2 nu + 2) J_{nu+1}(1)."""
-    nu = Order(float(nu)).nu
+    nu = _as_nu(nu)
     j0, j1 = _j_pair(nu, 1.0)
     return (2.0 * a - 1.0) * j0 - (a - 2.0 * nu + 2.0) * j1
 
@@ -254,7 +208,7 @@ def critical_order(a: float, search: tuple[float, float] = DEFAULT_SEARCH,
         raise NumericFailure(
             f"critical equation residual {residual:.3e} above 1e-12 * scale for a={a:g}")
 
-    s_root = sum_closed(DiniFamily(a, Order(root)))
+    s_root = sum_closed(DiniFamily(a, root))
     if abs(s_root - 1.0) > SUM_CROSS_CHECK_TOL:
         raise NumericFailure(
             f"sum criterion at nu_a deviates from 1 by {abs(s_root - 1.0):.3e} "

@@ -24,39 +24,27 @@ class Order:
         object.__setattr__(self, "nu", nu)
 
 
+def _as_nu(order: Order | float) -> float:
+    """Validated nu from an Order or a bare float."""
+    return order.nu if isinstance(order, Order) else Order(order).nu
+
+
 @dataclass(frozen=True)
 class DiniFamily:
     """The pair (a, nu) defining D_{a,nu}(x) = (a - nu) J_nu(x) + x J'_nu(x).
 
     a > 0 keeps w_{a,nu} normalized with all Dini zeros real, and the
-    derived coupling gamma = a - nu satisfies gamma + nu = a >= 0, the
-    Landau monotonicity precondition.  The ``order`` field accepts a bare
-    float for convenience.
+    coupling gamma = a - nu satisfies gamma + nu = a >= 0, the Landau
+    monotonicity precondition.  ``nu`` accepts an Order or a bare float
+    and is stored as the validated float.
     """
 
     a: float
-    order: Order
+    nu: float
 
     def __post_init__(self) -> None:
         a = float(self.a)
         if not a > 0.0:
             raise DomainError("a must be positive")
         object.__setattr__(self, "a", a)
-        if not isinstance(self.order, Order):
-            object.__setattr__(self, "order", Order(float(self.order)))
-
-    @property
-    def nu(self) -> float:
-        return self.order.nu
-
-    @property
-    def gamma(self) -> float:
-        """Coupling gamma = a - nu of the underlying gamma*J + x*J' form."""
-        return self.a - self.order.nu
-
-    def to_dict(self) -> dict:
-        return {"a": self.a, "nu": self.nu}
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "DiniFamily":
-        return cls(float(d["a"]), Order(float(d["nu"])))
+        object.__setattr__(self, "nu", _as_nu(self.nu))

@@ -38,7 +38,7 @@ RANDOM_SEED = 20250810
 
 @dataclass(frozen=True)
 class CheckResult:
-    check_id: int
+    id: int
     name: str
     passed: bool
     detail: str
@@ -113,7 +113,7 @@ def _check_sum_closed_oracle(ctx):
 
 def _check_halfinteger_zero_table(ctx):
     table = find_zeros(_fam(1.0, 0.5), 10)
-    worst = max(abs(e.zero - (2 * e.index - 1) * math.pi / 2.0)
+    worst = max(abs(e.zero - (2 * e.n - 1) * math.pi / 2.0)
                 for e in table.entries)
     return worst <= 1e-10, f"max |zero - (2n-1)pi/2| = {worst:.3e} over n=1..10"
 
@@ -288,5 +288,5 @@ def run_checks(only: set[int] | None = None) -> list[CheckResult]:
             passed, detail = fn(ctx)
         except Exception as exc:  # a crashed check is a failed check
             passed, detail = False, f"raised {type(exc).__name__}: {exc}"
-        results.append(CheckResult(cid, name, passed, detail))
+        results.append(CheckResult(cid, name, bool(passed), detail))
     return results

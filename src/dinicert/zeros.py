@@ -28,25 +28,11 @@ RESIDUAL_REL = 1e-10
 class ZeroEntry:
     """One localized zero with its certified bracket and residual."""
 
-    index: int
+    n: int
     zero: float
     lo: float
     hi: float
     residual: float
-
-    def to_dict(self) -> dict:
-        return {
-            "n": self.index,
-            "zero": self.zero,
-            "lo": self.lo,
-            "hi": self.hi,
-            "residual": self.residual,
-        }
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "ZeroEntry":
-        return cls(int(d["n"]), float(d["zero"]), float(d["lo"]),
-                   float(d["hi"]), float(d["residual"]))
 
 
 @dataclass(frozen=True)
@@ -64,26 +50,12 @@ class ZeroTable:
     def __len__(self) -> int:
         return len(self.entries)
 
-    def min_spacing(self) -> float:
+    def tail_spacing(self) -> float:
+        """Zero spacing assumed beyond the table by the tail bounds: the
+        observed minimum, capped at pi (the McMahon asymptotic spacing);
+        pi for fewer than two zeros."""
         zs = self.zeros
-        if len(zs) < 2:
-            return math.inf
-        return min(b - a for a, b in zip(zs, zs[1:]))
-
-    def to_dict(self) -> dict:
-        return {
-            "family": self.family.to_dict(),
-            "tol": self.tol,
-            "entries": [e.to_dict() for e in self.entries],
-        }
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "ZeroTable":
-        return cls(
-            DiniFamily.from_dict(d["family"]),
-            float(d["tol"]),
-            tuple(ZeroEntry.from_dict(e) for e in d["entries"]),
-        )
+        return min([math.pi] + [b - a for a, b in zip(zs, zs[1:])])
 
 
 def _d_from_pair(a: float, x: float, j0: float, j1: float) -> float:
@@ -124,9 +96,11 @@ def _scale(a: float, x: float, j0: float, j1: float) -> float:
     return abs(a * j0) + abs(x * j1)
 
 
-def _refine(family: DiniFamily, lo: float, hi: float, flo: float, tol: float) -> ZeroEntry | None:
-    """Bisection to 1e-4, then bracket-safeguarded Newton, then a certified
-    bracket of width <= tol; every value comes from the same _j_pair."""
+def _refine(family: DiniFamily, n: int, lo: float, hi: float, flo: float,
+            tol: float) -> ZeroEntry | None:
+    """Zero number n: bisection to 1e-4, then bracket-safeguarded Newton,
+    then a certified bracket of width <= tol; every value comes from the
+    same _j_pair."""
     a, nu = family.a, family.nu
     slo = math.copysign(1.0, flo)
 
@@ -186,14 +160,14 @@ def _refine(family: DiniFamily, lo: float, hi: float, flo: float, tol: float) ->
             if resid > RESIDUAL_REL * scale:
                 raise NumericFailure(
                     f"residual {resid:.3e} exceeds {RESIDUAL_REL:g} * scale at x={root!r}")
-            return ZeroEntry(0, root, blo, bhi, resid)
+            return ZeroEntry(n, root, blo, bhi, resid)
     # Could not certify the sign change; fall back to the classic bracket.
     if hi - lo <= tol:
         j0, j1 = _j_pair(nu, root)
         resid = abs(_d_from_pair(a, root, j0, j1))
         scale = _scale(a, root, j0, j1)
         if resid <= RESIDUAL_REL * scale:
-            return ZeroEntry(0, root, lo, hi, resid)
+            return ZeroEntry(n, root, lo, hi, resid)
     return None
 
 
@@ -228,13 +202,12 @@ def find_zeros(family: DiniFamily, count: int, tol: float = DEFAULT_TOL) -> Zero
         j0, j1 = _j_pair(nu, y)
         fy = _d_from_pair(a, y, j0, j1)
         if math.copysign(1.0, fx) != math.copysign(1.0, fy):
-            entry = _refine(family, x, y, fx, tol)
+            entry = _refine(family, len(entries) + 1, x, y, fx, tol)
             if entry is None:
                 raise NumericFailure(
                     f"bracket ({x:.6g}, {y:.6g}) could not be refined to a "
                     "certified zero")
-            entries.append(ZeroEntry(len(entries) + 1, entry.zero, entry.lo,
-                                     entry.hi, entry.residual))
+            entries.append(entry)
             # Consecutive zeros are more than 1 apart; skip dead ground.
             x = entry.zero + 0.75
             j0, j1 = _j_pair(nu, x)

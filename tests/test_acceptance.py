@@ -12,7 +12,7 @@ from dinicert import selftest
 
 @pytest.fixture(scope="module")
 def results():
-    return {r.check_id: r for r in selftest.run_checks()}
+    return {r.id: r for r in selftest.run_checks()}
 
 
 CRITERIA = [cid for cid, _, _ in selftest._CHECKS]
@@ -21,7 +21,7 @@ CRITERIA = [cid for cid, _, _ in selftest._CHECKS]
 @pytest.mark.parametrize("cid", CRITERIA)
 def test_acceptance_criterion(cid, results):
     r = results[cid]
-    line = f"criterion {r.check_id:02d} {'PASS' if r.passed else 'FAIL'} {r.name}: {r.detail}"
+    line = f"criterion {r.id:02d} {'PASS' if r.passed else 'FAIL'} {r.name}: {r.detail}"
     print(line)
     assert r.passed, line
 

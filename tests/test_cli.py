@@ -4,13 +4,17 @@ import io
 import contextlib
 import json
 import math
+import pathlib
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
-from dinicert import CertReport, CriticalOrder, SumCriterion, ZeroTable
-from dinicert import cli, selftest
+from dinicert import (DiniFamily, certify, cli, critical_order,
+                      evaluate_criterion, find_zeros, selftest)
+
+GOLDEN = json.loads(pathlib.Path(__file__).with_name("golden_cli.json").read_text())
 
 
 def run_inproc(argv):
@@ -81,6 +85,16 @@ class TestGoldenBytes:
             assert o1 == o2
 
 
+class TestGoldenFile:
+    """Argv, exit code, stdout and stderr recorded before envelopes were
+    rendered from dataclass fields; the bytes must not move."""
+
+    @pytest.mark.parametrize("case", GOLDEN, ids=["_".join(c["argv"]) for c in GOLDEN])
+    def test_bytes(self, case):
+        assert run_inproc(case["argv"]) == (case["code"], case["stdout"],
+                                            case["stderr"])
+
+
 class TestZerosCommand:
     def test_json_payload(self):
         code, out, _ = run_inproc(["zeros", "--a", "1", "--nu", "0.5", "--n", "5"])
@@ -106,8 +120,8 @@ class TestZerosCommand:
     def test_roundtrip(self):
         _, out, _ = run_inproc(["zeros", "--a", "1.5", "--nu", "0.3", "--n", "3"])
         results = json.loads(out)["results"]
-        table = ZeroTable.from_dict(results)
-        assert cli._render(table.to_dict()) == cli._render(results)
+        table = find_zeros(DiniFamily(1.5, 0.3), 3)
+        assert cli._render(table) == cli._render(results)
 
 
 class TestSumCommand:
@@ -135,8 +149,8 @@ class TestSumCommand:
     def test_roundtrip(self):
         _, out, _ = run_inproc(["sum", "--a", "2", "--nu", "1.1"])
         results = json.loads(out)["results"]
-        crit = SumCriterion.from_dict(results)
-        assert cli._render(crit.to_dict()) == cli._render(results)
+        crit = evaluate_criterion(DiniFamily(2, 1.1), n_terms=12)
+        assert cli._render(crit) == cli._render(results)
 
 
 class TestCriticalCommand:
@@ -151,8 +165,7 @@ class TestCriticalCommand:
     def test_roundtrip(self):
         _, out, _ = run_inproc(["critical", "--a", "2"])
         results = json.loads(out)["results"]
-        res = CriticalOrder.from_dict(results)
-        assert cli._render(res.to_dict()) == cli._render(results)
+        assert cli._render(critical_order(2.0)) == cli._render(results)
 
 
 class TestCertifyCommand:
@@ -171,8 +184,8 @@ class TestCertifyCommand:
     def test_roundtrip(self):
         _, out, _ = run_inproc(["certify", "--a", "1", "--nu", "0.5"])
         results = json.loads(out)["results"]
-        rep = CertReport.from_dict(results)
-        assert cli._render(rep.to_dict()) == cli._render(results)
+        rep = certify(DiniFamily(1, 0.5))
+        assert cli._render(rep) == cli._render(results)
 
 
 class TestEvalBoundary:
@@ -220,6 +233,14 @@ class TestSelftestJson:
         assert doc["command"] == "selftest"
         assert doc["results"]["checks"][0]["id"] == 3
         assert doc["results"]["checks"][0]["passed"] is True
+
+    def test_numpy_bool_passes_serialize(self, monkeypatch):
+        fake = ((98, "numpy verdict", lambda ctx: (np.bool_(True), "ok")),)
+        monkeypatch.setattr(selftest, "_CHECKS", fake)
+        code, out, _ = run_inproc(["selftest", "--json", "--only", "98"])
+        assert code == 0
+        assert '"passed": true' in out
+        assert json.loads(out)["results"]["checks"][0]["passed"] is True
 
     def test_unknown_check_id(self):
         code, _, err = run_inproc(["selftest", "--only", "42"])

@@ -80,7 +80,7 @@ class TestFindZeros:
     def test_half_integer_exactness(self):
         table = find_zeros(DiniFamily(1.0, Order(0.5)), 5)
         for e in table.entries:
-            assert e.zero == pytest.approx((2 * e.index - 1) * math.pi / 2.0,
+            assert e.zero == pytest.approx((2 * e.n - 1) * math.pi / 2.0,
                                            abs=1e-10)
 
     def test_tan_equation_root(self):
