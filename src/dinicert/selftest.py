@@ -115,7 +115,7 @@ def _check_halfinteger_zero_table(ctx):
     table = find_zeros(_fam(1.0, 0.5), 10)
     worst = max(abs(e.zero - (2 * e.n - 1) * math.pi / 2.0)
                 for e in table.entries)
-    return worst <= 1e-10, f"max |zero - (2n-1)pi/2| = {worst:.3e} over n=1..10"
+    return worst <= 1e-13, f"max |zero - (2n-1)pi/2| = {worst:.3e} over n=1..10"
 
 
 def _flip_summary(pairs):

@@ -2,11 +2,15 @@
 
 D_{a,nu}(x) = (a - nu) J_nu(x) + x J'_nu(x) is evaluated as
 a J_nu(x) - x J_{nu+1}(x), which is algebraically identical and avoids
-forming J' separately.  Zeros are bracketed by a sign-change scan with
-step 0.25 starting below the Ismail bound, refined by bisection and a
-bracket-safeguarded Newton iteration, and certified by a sign change
-across the final bracket plus a residual check against the local scale
-|a J_nu| + |x J_{nu+1}|.
+forming J' separately.  A sign-change scan with step 0.25, starting below
+the Ismail bound, brackets each zero.  Bracket-safeguarded Newton from the
+midpoint runs until its step or the bracket is one ulp of x, which leaves
+the zero within a few ulp.  One bracket [x - 0.49 tol, x + 0.49 tol] is
+then certified by a sign change, a nonvanishing derivative and a residual
+check against the local scale |a J_nu| + |x J_{nu+1}|.  Zeros lie more
+than 1 apart, and all gaps but the first (wider if a < nu) below 2 pi.
+Whatever fails these checks, or a bracket that rounds wider than tol,
+raises NumericFailure.
 """
 
 from __future__ import annotations
@@ -97,78 +101,50 @@ def _scale(a: float, x: float, j0: float, j1: float) -> float:
 
 
 def _refine(family: DiniFamily, n: int, lo: float, hi: float, flo: float,
-            tol: float) -> ZeroEntry | None:
-    """Zero number n: bisection to 1e-4, then bracket-safeguarded Newton,
-    then a certified bracket of width <= tol; every value comes from the
-    same _j_pair."""
+            tol: float) -> ZeroEntry:
+    """Zero number n in the scan's sign bracket (lo, hi), refined and
+    certified as the module docstring describes, from one _j_pair."""
     a, nu = family.a, family.nu
     slo = math.copysign(1.0, flo)
-
-    coarse = max(tol, 1e-4)
-    while hi - lo > coarse:
-        mid = 0.5 * (lo + hi)
-        j0, j1 = _j_pair(nu, mid)
-        if math.copysign(1.0, _d_from_pair(a, mid, j0, j1)) == slo:
-            lo = mid
-        else:
-            hi = mid
-
-    # Newton from the midpoint, falling back to bisection when an iterate
-    # leaves the bracket.
     x = 0.5 * (lo + hi)
-    for _ in range(60):
+    for _ in range(100):
         j0, j1 = _j_pair(nu, x)
         d = _d_from_pair(a, x, j0, j1)
-        dp = _dprime_from_pair(a, nu, x, j0, j1)
         if math.copysign(1.0, d) == slo:
             lo = x
         else:
             hi = x
-        if dp != 0.0:
-            step = d / dp
-            x_new = x - step
-            if not (lo < x_new < hi):
-                x_new = 0.5 * (lo + hi)
-        else:
-            x_new = 0.5 * (lo + hi)
-        if abs(x_new - x) <= 0.25 * tol or hi - lo <= tol:
-            x = x_new
+        dp = _dprime_from_pair(a, nu, x, j0, j1)
+        step = d / dp if dp != 0.0 else math.inf
+        # Tested before the safeguard, which would bisect on a converged
+        # step that rounds x - step onto the endpoint x has just become.
+        if min(abs(step), hi - lo) <= math.ulp(x):
             break
-        x = x_new
-    root = min(max(x, lo), hi)
+        x_new = x - step
+        x = x_new if lo < x_new < hi else 0.5 * (lo + hi)
+    else:
+        raise NumericFailure(f"Newton did not converge near x={x!r}; zero {n} "
+                             "could not be refined")
 
-    # Certify a final bracket of width <= tol around the root; if the zero
-    # sits near an endpoint, try the shifted variants before giving up.
-    # Fractions sum below 1 so rounding cannot push the width past tol.
-    for frac_lo, frac_hi in ((0.49, 0.49), (0.2, 0.78), (0.78, 0.2)):
-        blo, bhi = root - frac_lo * tol, root + frac_hi * tol
-        jl = _j_pair(nu, blo)
-        jh = _j_pair(nu, bhi)
-        dl = _d_from_pair(a, blo, *jl)
-        dh = _d_from_pair(a, bhi, *jh)
-        if dl == 0.0 or dh == 0.0:
-            continue
-        if math.copysign(1.0, dl) != math.copysign(1.0, dh):
-            j0, j1 = _j_pair(nu, root)
-            resid = abs(_d_from_pair(a, root, j0, j1))
-            scale = max(_scale(a, blo, *jl), _scale(a, bhi, *jh), _scale(a, root, j0, j1))
-            dp = _dprime_from_pair(a, nu, root, j0, j1)
-            if abs(dp) <= 1e-8 * scale:
-                raise NumericFailure(
-                    f"derivative vanishes at refined zero x={root!r}; "
-                    "zero may not be simple")
-            if resid > RESIDUAL_REL * scale:
-                raise NumericFailure(
-                    f"residual {resid:.3e} exceeds {RESIDUAL_REL:g} * scale at x={root!r}")
-            return ZeroEntry(n, root, blo, bhi, resid)
-    # Could not certify the sign change; fall back to the classic bracket.
-    if hi - lo <= tol:
-        j0, j1 = _j_pair(nu, root)
-        resid = abs(_d_from_pair(a, root, j0, j1))
-        scale = _scale(a, root, j0, j1)
-        if resid <= RESIDUAL_REL * scale:
-            return ZeroEntry(n, root, lo, hi, resid)
-    return None
+    blo, bhi = x - 0.49 * tol, x + 0.49 * tol
+    if not (0.0 < blo and bhi - blo <= tol):
+        raise NumericFailure(
+            f"zero {n} near x={x!r} could not be refined to a bracket of width "
+            f"<= {tol:g} inside x > 0")
+    jl, jh = _j_pair(nu, blo), _j_pair(nu, bhi)
+    dl, dh = _d_from_pair(a, blo, *jl), _d_from_pair(a, bhi, *jh)
+    if dl == 0.0 or dh == 0.0 or math.copysign(1.0, dl) == math.copysign(1.0, dh):
+        raise NumericFailure(
+            f"bracket [{blo!r}, {bhi!r}] has no sign change; zero {n} could not "
+            "be refined to a certified zero")
+    scale = max(_scale(a, blo, *jl), _scale(a, bhi, *jh), _scale(a, x, j0, j1))
+    if abs(dp) <= 1e-8 * scale:
+        raise NumericFailure(
+            f"derivative vanishes at refined zero x={x!r}; zero may not be simple")
+    if abs(d) > RESIDUAL_REL * scale:
+        raise NumericFailure(
+            f"residual {abs(d):.3e} exceeds {RESIDUAL_REL:g} * scale at x={x!r}")
+    return ZeroEntry(n, x, blo, bhi, abs(d))
 
 
 def find_zeros(family: DiniFamily, count: int, tol: float = DEFAULT_TOL) -> ZeroTable:
@@ -191,34 +167,29 @@ def find_zeros(family: DiniFamily, count: int, tol: float = DEFAULT_TOL) -> Zero
     x = max(1e-3, 0.5 * bound)
 
     entries: list[ZeroEntry] = []
-    j0, j1 = _j_pair(nu, x)
-    fx = _d_from_pair(a, x, j0, j1)
+    fx = _d_from_pair(a, x, *_j_pair(nu, x))
     while len(entries) < count:
         y = x + SCAN_STEP
         if y > X_MAX:
             raise NumericFailure(
                 f"only {len(entries)} sign changes of D_(a={a:g},nu={nu:g}) found "
                 f"below x={X_MAX:g}, needed {count}")
-        j0, j1 = _j_pair(nu, y)
-        fy = _d_from_pair(a, y, j0, j1)
+        fy = _d_from_pair(a, y, *_j_pair(nu, y))
         if math.copysign(1.0, fx) != math.copysign(1.0, fy):
-            entry = _refine(family, len(entries) + 1, x, y, fx, tol)
-            if entry is None:
-                raise NumericFailure(
-                    f"bracket ({x:.6g}, {y:.6g}) could not be refined to a "
-                    "certified zero")
-            entries.append(entry)
+            entries.append(_refine(family, len(entries) + 1, x, y, fx, tol))
             # Consecutive zeros are more than 1 apart; skip dead ground.
-            x = entry.zero + 0.75
-            j0, j1 = _j_pair(nu, x)
-            fx = _d_from_pair(a, x, j0, j1)
+            x = entries[-1].zero + 0.75
+            fx = _d_from_pair(a, x, *_j_pair(nu, x))
         else:
             x, fx = y, fy
 
+    # Every gap exceeds 1, which the 0.75 skip relies on; only the first
+    # may exceed 2 pi, as it does when a < nu.
     zs = [e.zero for e in entries]
-    for prev, cur in zip(zs, zs[1:]):
-        gap = cur - prev
-        if not (1.0 < gap < 2.0 * math.pi):
+    for i in range(1, len(zs)):
+        gap = zs[i] - zs[i - 1]
+        if not (gap > 1.0 and (i == 1 or gap < 2.0 * math.pi)):
+            bounds = "(1, inf)" if i == 1 else "(1, 2*pi)"
             raise NumericFailure(
-                f"zero spacing {gap:.6g} outside (1, 2*pi); table rejected")
+                f"zero spacing {gap:.6g} outside {bounds}; table rejected")
     return ZeroTable(family, tol, tuple(entries))

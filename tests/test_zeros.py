@@ -1,7 +1,9 @@
-"""Zero localization tests against half-integer closed forms."""
+"""Zero localization tests against half-integer closed forms and mpmath."""
 
+import functools
 import math
 
+import mpmath
 import pytest
 
 from dinicert import (
@@ -29,6 +31,27 @@ def bisect(f, lo, hi, tol=1e-13):
         else:
             hi = mid
     return 0.5 * (lo + hi)
+
+
+@functools.lru_cache(maxsize=None)
+def mp_zeros(a, nu, count):
+    """First ``count`` zeros of a J_nu - x J_{nu+1} from mpmath alone: sign
+    changes on a 0.1 grid from x = 0.01, each solved to 40 digits."""
+    with mpmath.workdps(40):
+        f = lambda x: a * mpmath.besselj(nu, x) - x * mpmath.besselj(nu + 1, x)
+        roots, x = [], mpmath.mpf("0.01")
+        fx = f(x)
+        while len(roots) < count:
+            y = x + mpmath.mpf("0.1")
+            fy = f(y)
+            if fx * fy < 0:
+                roots.append(mpmath.findroot(f, (x, y), solver="anderson"))
+            x, fx = y, fy
+    return tuple(roots)
+
+
+def ulps_off(z, root):
+    return float(abs(mpmath.mpf(z) - root)) / math.ulp(z)
 
 
 class TestDiniEval:
@@ -80,8 +103,8 @@ class TestFindZeros:
     def test_half_integer_exactness(self):
         table = find_zeros(DiniFamily(1.0, Order(0.5)), 5)
         for e in table.entries:
-            assert e.zero == pytest.approx((2 * e.n - 1) * math.pi / 2.0,
-                                           abs=1e-10)
+            ref = (2 * e.n - 1) * math.pi / 2.0
+            assert abs(e.zero - ref) <= 4 * math.ulp(ref)
 
     def test_tan_equation_root(self):
         # first root of tan x = -x, i.e. of sin x + x cos x, on (pi/2, pi)
@@ -106,6 +129,36 @@ class TestFindZeros:
             j1 = bessel_j(Order(fam.nu + 1), e.zero)
             scale = abs(fam.a * j0) + abs(e.zero * j1)
             assert e.residual <= 1e-10 * scale
+
+    @pytest.mark.parametrize("a,nu,count,tol", [
+        (1.0, 0.3, 6, 1e-12), (1.0, 0.3, 6, 1e-8),
+        (0.7, -0.6, 6, 1e-12), (0.7, -0.6, 6, 1e-8),
+        (2.5, 4.2, 6, 1e-12), (2.5, 4.2, 6, 1e-8),
+        # a < nu: the first gap, 8.19, is wider than 2 pi
+        (3.0, 10.0, 10, 1e-12),
+    ])
+    def test_within_4_ulp_of_mpmath(self, a, nu, count, tol):
+        table = find_zeros(DiniFamily(a, Order(nu)), count, tol=tol)
+        for e, root in zip(table.entries, mp_zeros(a, nu, count), strict=True):
+            assert ulps_off(e.zero, root) <= 4.0, (e.n, e.zero)
+
+    @pytest.mark.parametrize("tol", [1e-14, 1e-12, 1e-8, 1e-4, 0.05, 0.1])
+    def test_bracket_width_within_tol(self, tol):
+        fam = DiniFamily(0.7, Order(-0.6))
+        try:
+            table = find_zeros(fam, 18, tol=tol)
+        except NumericFailure as exc:
+            # from x = 4 up, x -/+ 0.49e-14 rounds to a bracket 1.07e-14 wide
+            assert tol < 1e-12 and "could not be refined" in str(exc)
+            return
+        for e in table.entries:
+            assert e.lo < e.zero < e.hi and e.hi - e.lo <= tol
+            assert dini_eval(fam, e.lo) * dini_eval(fam, e.hi) < 0.0
+
+    def test_bracket_reaching_below_zero_fails_loudly(self):
+        # the first zero, 0.00446, lies nearer 0 than 0.49 tol
+        with pytest.raises(NumericFailure, match="could not be refined"):
+            find_zeros(DiniFamily(0.01, Order(-0.999)), 1, tol=0.05)
 
     def test_spacing_invariants(self):
         zs = find_zeros(DiniFamily(2.0, Order(1.0)), 6).zeros
