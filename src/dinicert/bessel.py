@@ -10,14 +10,15 @@ are two ways to sum it:
 - doubles, for x <= 3: each order is kept when the largest term exceeds
   the sum by less than 64x.  Against 40-digit mpmath at 2,700 random
   points with nu up to 171 the worst error is 11 ulp (1.4e-15 relative).
-- one fixed-point pass over Python ints for both orders, for x > 3 and
-  for any order the doubles reject (nu near -1; Gamma(nu + 1) past the
-  double range).  It starts with 73 + 1.443*x bits, adds guard bits while
-  cancellation leaves fewer than 63, and truncates the result to a
-  double, so results are faithfully rounded (error below 1 ulp), not
-  always correctly rounded: against 40-digit mpmath at 300 random points
-  with nu in (-1, 100] and x in (3, 60], 148 values are not the nearest
-  double and the worst error is 0.994 ulp.
+  The second order is summed at fl(nu + 1.0), which may round.
+- one fixed-point pass over Python ints for both orders, the second at
+  nu + 1 exactly, for x > 3 and for any order the doubles reject (nu near
+  -1; Gamma(nu + 1) past the double range).  It starts with 73 + 1.443*x
+  bits, adds guard bits while cancellation leaves fewer than 63, and
+  truncates the result to a double, so results are faithfully rounded
+  (error below 1 ulp), not always correctly rounded: against 40-digit
+  mpmath at 300 random points with nu in (-1, 100] and x in (3, 60], 288
+  of the 600 values are not the nearest double; the worst is 0.998 ulp.
 
 All state is local and mpmath's libmp primitives are pure functions of
 (value, precision), so every function here is safe to call from any
@@ -96,18 +97,16 @@ def _j_pair_fixed(nu: float, x: float) -> tuple[float, float]:
 
     Each series is normalised by its leading term (x/2)^mu / Gamma(mu+1),
     so both sums start at 1 and tiny results keep their relative accuracy;
-    the prefactors are applied in libmp at the end.  The second order is
-    mu = fl(nu + 1.0).  nu, mu and x are exact binary rationals, so each
-    term ratio (x/2)^2 / (k (k + mu)) is a ratio of integers and a term
-    costs one multiplication and one truncating division.  The sum runs
-    until both terms truncate to zero; the guard grows while cancellation
-    leaves fewer than 63 bits.
+    the prefactors are applied in libmp at the end.  nu = p/q, the second
+    order mu = (p + q)/q (nu + 1 even where fl(nu + 1.0) rounds) and x are
+    exact binary rationals, so each term ratio (x/2)^2 / (k (k + mu)) is a
+    ratio of integers and a term costs one multiplication and one
+    truncating division.  The sum runs until both terms truncate to zero;
+    the guard grows while cancellation leaves fewer than 63 bits.
     """
-    mu = nu + 1.0
     xn, xd = x.as_integer_ratio()
-    p0, q0 = nu.as_integer_ratio()
-    p1, q1 = mu.as_integer_ratio()
-    c0, c1, d = xn * xn * q0, xn * xn * q1, 4 * xd * xd
+    p, q = nu.as_integer_ratio()
+    c, d = xn * xn * q, 4 * xd * xd
     prec = 73 + int(1.443 * x)
     for _ in range(4):
         t0 = t1 = s0 = s1 = m0 = m1 = 1 << prec
@@ -116,8 +115,8 @@ def _j_pair_fixed(nu: float, x: float) -> tuple[float, float]:
             k += 1
             if k > 500:
                 raise NumericFailure(f"Bessel series did not converge at nu={nu}, x={x}")
-            t0 = t0 * c0 // (d * k * (k * q0 + p0))
-            t1 = t1 * c1 // (d * k * (k * q1 + p1))
+            t0 = t0 * c // (d * k * (k * q + p))
+            t1 = t1 * c // (d * k * (k * q + p + q))
             if k & 1:
                 s0 -= t0
                 s1 -= t1
@@ -129,16 +128,16 @@ def _j_pair_fixed(nu: float, x: float) -> tuple[float, float]:
         cancel = max(m.bit_length() - abs(s).bit_length() if s else prec
                      for m, s in ((m0, s0), (m1, s1)))
         if cancel <= prec - 63:
-            return _scaled(s0, nu, x, prec), _scaled(s1, mu, x, prec)
+            m = from_float(nu)
+            return _scaled(s0, m, x, prec), _scaled(s1, mpf_add(m, fone), x, prec)
         prec += cancel - (prec - 63) + 20
     raise NumericFailure(f"could not reach target precision at nu={nu}, x={x}")
 
 
-def _scaled(s: int, mu: float, x: float, prec: int) -> float:
-    """s * 2^-prec * (x/2)^mu / Gamma(mu + 1), truncated to a double."""
-    m = from_float(mu)
-    lead = mpf_div(mpf_pow(mpf_shift(from_float(x), -1), m, prec, _RN),
-                   mpf_gamma(mpf_add(m, fone, prec, _RN), prec, _RN), prec, _RN)
+def _scaled(s: int, mu, x: float, prec: int) -> float:
+    """s * 2^-prec * (x/2)^mu / Gamma(mu + 1) for a libmp mu, as a double."""
+    lead = mpf_div(mpf_pow(mpf_shift(from_float(x), -1), mu, prec, _RN),
+                   mpf_gamma(mpf_add(mu, fone, prec, _RN), prec, _RN), prec, _RN)
     return to_float(mpf_mul(from_man_exp(s, -prec), lead, prec, _RN))
 
 

@@ -1,16 +1,27 @@
 """Evaluation of D_{a,nu} and certified localization of its positive zeros.
 
-D_{a,nu}(x) = (a - nu) J_nu(x) + x J'_nu(x) is evaluated as
-a J_nu(x) - x J_{nu+1}(x), which is algebraically identical and avoids
-forming J' separately.  A sign-change scan with step 0.25, starting below
-the Ismail bound, brackets each zero.  Bracket-safeguarded Newton from the
-midpoint runs until its step or the bracket is one ulp of x, which leaves
-the zero within a few ulp.  One bracket [x - 0.49 tol, x + 0.49 tol] is
-then certified by a sign change, a nonvanishing derivative and a residual
-check against the local scale |a J_nu| + |x J_{nu+1}|.  Zeros lie more
-than 1 apart, and all gaps but the first (wider if a < nu) below 2 pi.
-Whatever fails these checks, or a bracket that rounds wider than tol,
-raises NumericFailure.
+D_{a,nu}(x) = (a - nu) J_nu(x) + x J'_nu(x) is evaluated as the identical
+a J_nu(x) - x J_{nu+1}(x), which forms no J'.
+
+Counting.  D = J_nu (a - y) with y = x J_{nu+1} / J_nu, and the Mittag-Leffler
+expansion y = sum_k 2 x^2 / (j_{nu,k}^2 - x^2) (Watson, ch. 15) makes y
+strictly increasing between consecutive zeros j_{nu,k} of J_nu, from 0 (on
+(0, j_{nu,1})) or -inf up to +inf.  So each (j_{nu,n-1}, j_{nu,n}), with
+j_{nu,0} = 0, holds exactly one zero omega_n, and a - y > 0 before it.  Sturm
+comparison on sqrt(x) J_nu puts the j_{nu,k} at least pi apart for |nu| >= 1/2
+and pi / sqrt(1 + 1/pi^2) > 2.99 apart for |nu| < 1/2 (where j_{nu,1} >= pi/2),
+so a scan step of 2.5 straddles at most one j_{nu,k}.  It then holds one zero
+exactly when D changes sign across it, and two exactly when D keeps its sign,
+J_nu changes sign and sign D = sign J_nu (a - y > 0) at its left end; such a
+step is halved.  The scan starts at half the square root of the Ismail bound,
+below omega_1, where D > 0 and J_nu > 0; its last step ends at x = 60.
+
+Refinement.  Bracket-safeguarded Newton from the midpoint of the step runs
+until its step or the bracket is one ulp of x, leaving the zero within a few
+ulp.  One bracket [x - 0.49 tol, x + 0.49 tol] is then certified by a sign
+change, a nonvanishing derivative and a residual check against the scale
+|a J_nu| + |x J_{nu+1}|; a failed check, or a bracket that rounds wider than
+tol or reaches x <= 0, raises NumericFailure.
 """
 
 from __future__ import annotations
@@ -22,7 +33,7 @@ from .bessel import X_MAX, _check_x, _j_pair
 from .errors import DomainError, NumericFailure
 from .families import DiniFamily
 
-SCAN_STEP = 0.25
+SCAN_STEP = 2.5
 MAX_ZEROS = 18
 DEFAULT_TOL = 1e-12
 RESIDUAL_REL = 1e-10
@@ -148,13 +159,9 @@ def _refine(family: DiniFamily, n: int, lo: float, hi: float, flo: float,
 
 
 def find_zeros(family: DiniFamily, count: int, tol: float = DEFAULT_TOL) -> ZeroTable:
-    """First ``count`` positive zeros of D_{a,nu}, certified.
-
-    Each entry carries a bracket of width <= tol across which D changes
-    sign and a residual |D(zero)| <= 1e-10 * scale.  Fails, rather than
-    truncating silently, if fewer than ``count`` sign changes exist below
-    the series range cap x = 60.
-    """
+    """First ``count`` positive zeros of D_{a,nu}, each with a bracket of width
+    <= tol across which D changes sign and a residual |D(zero)| <= 1e-10 * scale.
+    Fails, rather than truncating, if fewer lie below the series cap x = 60."""
     count = int(count)
     if not 1 <= count <= MAX_ZEROS:
         raise DomainError(f"count must lie in [1, {MAX_ZEROS}]")
@@ -163,33 +170,25 @@ def find_zeros(family: DiniFamily, count: int, tol: float = DEFAULT_TOL) -> Zero
         raise DomainError("tol must lie in (0, 0.1]")
 
     a, nu = family.a, family.nu
-    bound = math.sqrt(ismail_lower_bound(family))
-    x = max(1e-3, 0.5 * bound)
-
+    x = 0.5 * math.sqrt(ismail_lower_bound(family))
+    jx = _j_pair(nu, x)
+    fx = _d_from_pair(a, x, *jx)
+    sign = lambda v: math.copysign(1.0, v)
     entries: list[ZeroEntry] = []
-    fx = _d_from_pair(a, x, *_j_pair(nu, x))
     while len(entries) < count:
-        y = x + SCAN_STEP
-        if y > X_MAX:
+        if x >= X_MAX:
             raise NumericFailure(
                 f"only {len(entries)} sign changes of D_(a={a:g},nu={nu:g}) found "
                 f"below x={X_MAX:g}, needed {count}")
-        fy = _d_from_pair(a, y, *_j_pair(nu, y))
-        if math.copysign(1.0, fx) != math.copysign(1.0, fy):
+        y = min(x + SCAN_STEP, X_MAX)
+        while True:
+            jy = _j_pair(nu, y)
+            fy = _d_from_pair(a, y, *jy)
+            # Two zeros: omega_n, j_{nu,n} and omega_{n+1} all lie in (x, y).
+            if not (sign(fx) == sign(fy) == sign(jx[0]) != sign(jy[0])):
+                break
+            y = 0.5 * (x + y)
+        if sign(fx) != sign(fy):
             entries.append(_refine(family, len(entries) + 1, x, y, fx, tol))
-            # Consecutive zeros are more than 1 apart; skip dead ground.
-            x = entries[-1].zero + 0.75
-            fx = _d_from_pair(a, x, *_j_pair(nu, x))
-        else:
-            x, fx = y, fy
-
-    # Every gap exceeds 1, which the 0.75 skip relies on; only the first
-    # may exceed 2 pi, as it does when a < nu.
-    zs = [e.zero for e in entries]
-    for i in range(1, len(zs)):
-        gap = zs[i] - zs[i - 1]
-        if not (gap > 1.0 and (i == 1 or gap < 2.0 * math.pi)):
-            bounds = "(1, inf)" if i == 1 else "(1, 2*pi)"
-            raise NumericFailure(
-                f"zero spacing {gap:.6g} outside {bounds}; table rejected")
+        x, jx, fx = y, jy, fy
     return ZeroTable(family, tol, tuple(entries))

@@ -149,10 +149,15 @@ class TestAgainstMpmath:
             ref = -mpmath.diff(f, 1) / (2 * f(1))
         assert abs(sum_closed(DiniFamily(1.0, Order(20.0))) - ref) <= 1e-12 * abs(ref)
 
+    # (15.098..., 5.59...): nu + 1.0 rounds by 1.8e-15, and J at the rounded
+    # order is 14 ulp off J_{nu+1}.
     @pytest.mark.parametrize("nu,x", [(30.0, 4.0), (40.0, 4.96), (60.0, 5.0),
-                                      (0.3, 45.0), (10.0, 59.0), (175.0, 2.9)])
+                                      (0.3, 45.0), (10.0, 59.0), (175.0, 2.9),
+                                      (15.098473923193199, 5.590940537789909)])
     def test_fixed_point_pair_within_one_ulp(self, nu, x):
-        for mu, value in zip((nu, nu + 1.0), _j_pair(nu, x)):
+        with mpmath.workdps(50):
+            orders = (mpmath.mpf(nu), mpmath.mpf(nu) + 1)
+        for mu, value in zip(orders, _j_pair(nu, x)):
             ref = self.ref(mu, x)
             assert abs(float(ref)) >= sys.float_info.min
             assert value != 0.0

@@ -54,6 +54,12 @@ class TestVerdicts:
         assert rep.min_re_starlike is None
         assert rep.smallest_zero_margin < 0.0
 
+    def test_inapplicable_first_zero_below_1e3(self):
+        # omega_1 = 4.47e-4: the scan must not start above it
+        rep = certify(fam(0.001, -0.9999))
+        assert rep.verdict == "inapplicable"
+        assert rep.smallest_zero_margin == pytest.approx(4.4710184517792e-4 - 1.0)
+
     def test_boundary_at_critical_order(self):
         nu_a = critical_order(1.0).nu_a
         rep = certify(fam(1.0, nu_a))

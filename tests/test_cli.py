@@ -90,7 +90,10 @@ class TestGoldenFile:
     rendered from dataclass fields; the bytes must not move.  Ten cases
     were re-recorded when _refine began to stop Newton at one ulp: only
     zero-derived floats moved, each zero now within ~1 ulp of the root
-    where it was up to 4.9e-13 off before."""
+    where it was up to 4.9e-13 off before.  Six were re-recorded when the
+    zero scan began to count by interlacing with a 2.5 step: scan_step,
+    zero-derived floats within 1.2 ulp of the root, and the zero count of
+    D_{1,20} below x = 60 (10 -> 11) moved."""
 
     @pytest.mark.parametrize("case", GOLDEN, ids=["_".join(c["argv"]) for c in GOLDEN])
     def test_bytes(self, case):

@@ -5,6 +5,8 @@ import math
 
 import mpmath
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from dinicert import (
     DiniFamily,
@@ -33,12 +35,18 @@ def bisect(f, lo, hi, tol=1e-13):
     return 0.5 * (lo + hi)
 
 
+def mp_dini(a, nu):
+    """D_{a,nu} in mpmath at the exact binary values of a and nu."""
+    a, nu = mpmath.mpf(a), mpmath.mpf(nu)
+    return lambda x: a * mpmath.besselj(nu, x) - x * mpmath.besselj(nu + 1, x)
+
+
 @functools.lru_cache(maxsize=None)
 def mp_zeros(a, nu, count):
     """First ``count`` zeros of a J_nu - x J_{nu+1} from mpmath alone: sign
     changes on a 0.1 grid from x = 0.01, each solved to 40 digits."""
     with mpmath.workdps(40):
-        f = lambda x: a * mpmath.besselj(nu, x) - x * mpmath.besselj(nu + 1, x)
+        f = mp_dini(a, nu)
         roots, x = [], mpmath.mpf("0.01")
         fx = f(x)
         while len(roots) < count:
@@ -48,6 +56,13 @@ def mp_zeros(a, nu, count):
                 roots.append(mpmath.findroot(f, (x, y), solver="anderson"))
             x, fx = y, fy
     return tuple(roots)
+
+
+def mp_root_near(a, nu, z):
+    """Root of D_{a,nu} to 40 digits by a secant seeded at z."""
+    with mpmath.workdps(40):
+        z = mpmath.mpf(z)
+        return mpmath.findroot(mp_dini(a, nu), (z, z * (1 + mpmath.mpf(2) ** -30)))
 
 
 def ulps_off(z, root):
@@ -164,7 +179,7 @@ class TestFindZeros:
         zs = find_zeros(DiniFamily(2.0, Order(1.0)), 6).zeros
         for a, b in zip(zs, zs[1:]):
             assert 1.0 < b - a < 2.0 * math.pi
-            assert b - a > 0.25  # exceeds the scan step
+            assert b - a > 0.25
 
     def test_monotone_in_order(self):
         nus = (-0.7, -0.2, 0.8, 1.9, 3.0)
@@ -182,10 +197,53 @@ class TestFindZeros:
         with pytest.raises(DomainError):
             find_zeros(fam, 5, tol=0.0)
 
+    def test_first_zero_below_1e3(self):
+        # omega_1 lies below 1e-3; the first 2.5 step holds omega_1, j_{nu,1}
+        # and omega_2, so the scan must halve it
+        table = find_zeros(DiniFamily(0.001, Order(-0.9999)), 3)
+        refs = (4.4710184517792e-4, 2.4054, 5.5204)
+        for z, ref in zip(table.zeros, refs, strict=True):
+            assert z == pytest.approx(ref, rel=1e-4)
+            assert ulps_off(z, mp_root_near(0.001, -0.9999, ref)) <= 4.0
+
+    def test_last_zero_just_below_cap(self):
+        # the 11th zero of D_{1,20} lies at 59.9165, inside the last step
+        z = find_zeros(DiniFamily(1.0, Order(20.0)), 11).entries[10].zero
+        assert ulps_off(z, mp_root_near(1.0, 20.0, 59.9165)) <= 4.0
+
     def test_insufficient_zeros_below_cap(self):
         # at nu = 9 the 18th zero lies beyond the x <= 60 series range
         with pytest.raises(NumericFailure, match="sign changes"):
             find_zeros(DiniFamily(1.0, Order(9.0)), 18)
+
+
+@settings(max_examples=40, derandomize=True, deadline=None)
+@given(a=st.floats(math.log(0.01), math.log(30.0)).map(math.exp),
+       nu=st.floats(-0.99, 30.0, exclude_min=True), count=st.integers(1, 8))
+@example(a=0.001, nu=-0.9999, count=8)
+@example(a=3.0, nu=10.0, count=8)
+def test_zeros_interlace_over_domain(a, nu, count):
+    """Each omega_n lies between the zeros n - 1 and n of J_nu: J_nu changes
+    sign n - 1 times on (0, omega_n], so J_nu(omega_n) has sign (-1)^(n-1).
+    The sign changes are counted on a grid of step 1, below the 2.99 minimum
+    gap between zeros of J_nu, from J_nu > 0 near 0; a skipped zero, or an
+    even number of them, breaks the count."""
+    try:
+        table = find_zeros(DiniFamily(a, Order(nu)), count)
+    except NumericFailure as exc:
+        assert "sign changes of D_" in str(exc)
+        return
+    d, v = mp_dini(a, nu), mpmath.mpf(nu)
+    changes, prev, t = 0, 1, 1
+    with mpmath.workdps(40):
+        for e in table.entries:
+            while t < e.zero:
+                s = mpmath.sign(mpmath.besselj(v, t))
+                changes, prev, t = changes + (s != prev), s, t + 1
+            s = mpmath.sign(mpmath.besselj(v, e.zero))
+            assert changes + (s != prev) == e.n - 1 and s == (-1) ** (e.n - 1)
+            assert mpmath.sign(d(e.lo)) * mpmath.sign(d(e.hi)) == -1
+            assert ulps_off(e.zero, mp_root_near(a, nu, e.zero)) <= 4.0
 
 
 class TestSmallestZero:
