@@ -21,11 +21,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bessel import _w_sum
+from .bessel import _j_ratio, _w_sum
 from .criterion import BOUNDARY_BAND, SumCriterion, evaluate_criterion, sum_closed
 from .errors import DomainError, NumericFailure, PoleError
 from .families import DiniFamily
-from .zeros import ZeroTable, find_zeros, ismail_lower_bound
+from .zeros import ZeroTable, find_zeros
 
 GRID_RADII = 64
 GRID_ANGLES = 720
@@ -145,8 +145,11 @@ def certify(family: DiniFamily, zero_count: int = 12) -> CertReport:
     inapplicable omega_1 <= 1 (the modulus hypothesis fails; no sum)
     boundary     |S - 1| <= 1e-9, or a Dini zero sits at radius 1
 
-    The Ismail bound serves as a fast path: when 4a(nu+1)/(a+2) > 1 the
-    modulus hypothesis holds without refining any zero.
+    The modulus hypothesis needs no zero: D > 0 on (0, omega_1), and D < 0 on
+    [j_{nu,1}, j_{nu+1,1}] (there J_nu <= 0 < J_{nu+1}, by interlacing), so
+    omega_2 > j_{nu+1,1} > j_{0,1} ~ 2.405 and omega_1 <= 1 exactly when
+    D(1) <= 0.  The recurrence gives D(1) = J_{nu+1}(1) Delta, J_{nu+1}(1) > 0,
+    Delta = a (2 nu + 2 - rho) - 1, rho = J_{nu+2}(1) / J_{nu+1}(1): Delta decides.
     """
     grid = GridSpec(GRID_RADII, GRID_ANGLES, GRID_MAX_RADIUS)
 
@@ -160,20 +163,14 @@ def certify(family: DiniFamily, zero_count: int = 12) -> CertReport:
         return CertReport(family, VERDICT_BOUNDARY, None, omega1 - 1.0, None,
                           grid, zero_at_unit_radius=True)
 
-    bound = ismail_lower_bound(family)
-    if bound <= 1.0:
-        # The analytic bound does not decide; measure the first zero.
+    a, nu = family.a, family.nu
+    if a * (2.0 * nu + 2.0 - _j_ratio(nu)) - 1.0 <= 0.0:
         omega1 = find_zeros(family, 1).entries[0].zero
-        if omega1 <= 1.0:
-            return CertReport(family, VERDICT_INAPPLICABLE, None,
-                              omega1 - 1.0, None, grid)
-
-    table = find_zeros(family, max(zero_count, 2))
-    omega1 = table.entries[0].zero
-    if omega1 <= 1.0:
         return CertReport(family, VERDICT_INAPPLICABLE, None,
                           omega1 - 1.0, None, grid)
-    margin = omega1 - 1.0
+
+    table = find_zeros(family, max(zero_count, 2))
+    margin = table.entries[0].zero - 1.0
 
     crit = evaluate_criterion(family, n_terms=zero_count, table=table)
 

@@ -21,8 +21,8 @@ import numpy as np
 from . import __version__
 from .bessel import w_eval, w_prime_eval
 from .certify import certify
-from .criterion import (DEFAULT_SEARCH, SCAN_STEP as CRITICAL_SCAN_STEP,
-                        SUM_CROSS_CHECK_TOL, critical_order, evaluate_criterion)
+from .criterion import (BOUNDARY_BAND, SEARCH_WINDOW, SUM_CROSS_CHECK_TOL,
+                        critical_order, evaluate_criterion)
 from .errors import DomainError, NumericFailure
 from .families import DiniFamily, Order
 from .zeros import DEFAULT_TOL, SCAN_STEP, X_MAX, find_zeros
@@ -130,9 +130,8 @@ def _cmd_critical(args) -> tuple[str, int]:
                result.sum_at_root]
         return _csv(["a", "nu_a", "lo", "hi", "residual", "sum_at_root"], [row]), 0
     diag = {
-        "scan_step": CRITICAL_SCAN_STEP,
-        "search_lo": DEFAULT_SEARCH[0],
-        "search_hi": DEFAULT_SEARCH[1],
+        "search_lo": SEARCH_WINDOW[0],
+        "search_hi": SEARCH_WINDOW[1],
         "bracket_width": result.hi - result.lo,
         "sum_cross_check_tol": SUM_CROSS_CHECK_TOL,
     }
@@ -153,7 +152,7 @@ def _cmd_certify(args) -> tuple[str, int]:
                      "min_re_starlike"], [row]), 0
     diag = {
         "zero_count": args.n,
-        "boundary_band": 1e-9,
+        "boundary_band": BOUNDARY_BAND,
         "decision_route": "closed_form_sum",
         "sampling_is_corroboration_only": True,
     }

@@ -171,6 +171,8 @@ def find_zeros(family: DiniFamily, count: int, tol: float = DEFAULT_TOL) -> Zero
 
     a, nu = family.a, family.nu
     x = 0.5 * math.sqrt(ismail_lower_bound(family))
+    if x == 0.0:  # 4a(nu + 1) underflowed; the same start from factors that do not
+        x = math.sqrt(a) * math.sqrt((nu + 1.0) / (a + 2.0))
     jx = _j_pair(nu, x)
     fx = _d_from_pair(a, x, *jx)
     sign = lambda v: math.copysign(1.0, v)

@@ -7,6 +7,8 @@ import sys
 import mpmath
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy import special
 
 from dinicert import (
@@ -20,7 +22,7 @@ from dinicert import (
     w_eval,
     w_prime_eval,
 )
-from dinicert.bessel import _j_pair
+from dinicert.bessel import _j_pair, _j_ratio
 
 
 def j_brute(nu, x, terms=60):
@@ -162,6 +164,27 @@ class TestAgainstMpmath:
             assert abs(float(ref)) >= sys.float_info.min
             assert value != 0.0
             assert abs(value - ref) <= math.ulp(float(ref))
+
+
+    # (15.466, 1.772): fl(nu + 1.0) rounds, and the double path once summed
+    # J at the rounded order, 43 ulp off J_{nu+1}.
+    def test_double_path_pair_at_exact_orders(self):
+        nu, x = 15.466, 1.772
+        with mpmath.workdps(50):
+            orders = (mpmath.mpf(nu), mpmath.mpf(nu) + 1)
+        for mu, value in zip(orders, _j_pair(nu, x)):
+            assert abs(value - self.ref(mu, x)) <= 2 * math.ulp(value)
+
+
+@settings(max_examples=60, derandomize=True, deadline=None)
+@given(nu=st.floats(-1.0, 1000.0, exclude_min=True))
+def test_ratio_at_one_against_mpmath(nu):
+    """J_{nu+2}(1) / J_{nu+1}(1) from the continued fraction, within 2 eps
+    of 40-digit mpmath at the exact orders."""
+    with mpmath.workdps(40):
+        v = mpmath.mpf(nu)
+        ref = mpmath.besselj(v + 2, 1) / mpmath.besselj(v + 1, 1)
+        assert abs(_j_ratio(nu) - ref) <= 2 * sys.float_info.epsilon * ref
 
 
 class TestBesselJPrime:

@@ -3,7 +3,10 @@
 import cmath
 import math
 
+import mpmath
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dinicert import (
     DiniFamily,
@@ -82,6 +85,25 @@ class TestVerdicts:
         sc = rep.sum_criterion
         assert sc.truncated_value <= sc.closed_value
         assert sc.closed_value <= sc.truncated_value + sc.tail_bound
+
+
+@settings(max_examples=30, derandomize=True, deadline=None)
+@given(a=st.floats(0.05, 10.0), nu=st.floats(-0.99, 3.0, exclude_min=True))
+def test_verdict_against_mpmath(a, nu):
+    """inapplicable exactly when D(1) < 0 (omega_1 < 1), else certified or
+    refuted by the sign of 1 - S, all from 40-digit mpmath."""
+    with mpmath.workdps(40):
+        m, v = mpmath.mpf(a), mpmath.mpf(nu)
+        j0, j1 = mpmath.besselj(v, 1), mpmath.besselj(v + 1, 1)
+        d1 = m * j0 - j1
+        s = -((2 * v * v - m * v - 1) * j0 + (m - 2 * v) * (v * j0 - j1)) / (2 * d1)
+    if abs(d1) <= 1e-9 * (abs(m * j0) + abs(j1)) or abs(s - 1) <= 1e-8:
+        return  # too close to a boundary for the sign to be the test
+    verdict = certify(fam(a, nu), zero_count=2).verdict
+    if d1 < 0:
+        assert verdict == "inapplicable"
+    else:
+        assert verdict == ("certified" if s < 1 else "refuted")
 
 
 class TestStarlikeSample:

@@ -49,6 +49,22 @@ class TestExitCodes:
         assert code == 3
         assert "no sign change" in err
 
+    @pytest.mark.parametrize("a", ["0.3", "0.2", "0.1"])
+    def test_critical_order_above_window(self, a):
+        # nu_a = 2.546, 4.189 and 9.160 lie above the window (-0.74, 2)
+        code, _, err = run_inproc(["critical", "--a", a])
+        assert code == 3
+        assert err == ("numeric failure: no sign change of the critical equation "
+                       f"on [-0.74, 2] for a={a}\n")
+
+    def test_underflowing_scan_start_fails_loudly(self):
+        # 4a(nu + 1) underflows to 0; omega_1 ~ 3.3e-170 is found, but no
+        # bracket of width 1e-12 around it stays inside x > 0
+        code, out, err = run_inproc(["zeros", "--a", "5e-324", "--nu",
+                                     "-0.9999999999999999", "--n", "1"])
+        assert (code, out) == (3, "")
+        assert err.startswith("numeric failure: zero 1 near x=3.3")
+
     def test_unknown_flag(self):
         code, _, _ = run_inproc(["zeros", "--a", "1", "--nu", "0.5", "--bogus"])
         assert code == 2
@@ -86,14 +102,11 @@ class TestGoldenBytes:
 
 
 class TestGoldenFile:
-    """Argv, exit code, stdout and stderr recorded before envelopes were
-    rendered from dataclass fields; the bytes must not move.  Ten cases
-    were re-recorded when _refine began to stop Newton at one ulp: only
-    zero-derived floats moved, each zero now within ~1 ulp of the root
-    where it was up to 4.9e-13 off before.  Six were re-recorded when the
-    zero scan began to count by interlacing with a 2.5 step: scan_step,
-    zero-derived floats within 1.2 ulp of the root, and the zero count of
-    D_{1,20} below x = 60 (10 -> 11) moved."""
+    """Argv, exit code, stdout and stderr of each pinned CLI run.  Verdicts,
+    exit codes and stderr never move.  A change that moves a float
+    re-records the file with ``python tests/record_golden.py`` and lists
+    every moved float in CHANGES.md with its ulp distance from 40-digit
+    mpmath before and after; the re-record history lives there."""
 
     @pytest.mark.parametrize("case", GOLDEN, ids=["_".join(c["argv"]) for c in GOLDEN])
     def test_bytes(self, case):

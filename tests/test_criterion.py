@@ -1,8 +1,12 @@
 """Sum criterion and critical order tests against independent oracles."""
 
 import math
+import sys
 
+import mpmath
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from dinicert import (
     DiniFamily,
@@ -153,9 +157,12 @@ class TestCriticalOrder:
         with pytest.raises(DomainError):
             critical_order(0.0)
         with pytest.raises(DomainError):
-            critical_order(1.0, search=(0.5, 0.2))
-        with pytest.raises(DomainError):
             critical_order(1.0, tol=0.0)
+
+    def test_tol_below_one_ulp_fails_loudly(self):
+        # the bracket rounds to one point, so g cannot change sign across it
+        with pytest.raises(NumericFailure, match="does not change sign"):
+            critical_order(1.0, tol=1e-17)
 
     def test_no_sign_change(self):
         with pytest.raises(NumericFailure, match="no sign change"):
@@ -177,3 +184,28 @@ class TestCriterionShape:
         for r1, r2 in zip(roots, roots[1:]):
             # generous secant bound: |d nu_a / d a| < 3 on [0.5, 4]
             assert abs(r2 - r1) <= 0.75
+
+
+@settings(max_examples=30, derandomize=True, deadline=None)
+@given(a=st.floats(math.log(0.361), math.log(50.0)).map(math.exp))
+@example(a=0.5)
+@example(a=1e6)
+def test_critical_order_against_mpmath(a):
+    """nu_a within 4 eps (nu_a + 1) of the 40-digit root of the critical
+    equation, with its certified bracket.  a >= 0.361 keeps nu_a below the
+    window's end 2 (nu_a = 2 at a = 0.36042).  At a = 1/2 the root is 5/4
+    exactly; as a grows it tends to -0.56230, the root of
+    2 J_nu(1) = J_{nu+1}(1)."""
+    res = critical_order(a)
+    with mpmath.workdps(40):
+        m = mpmath.mpf(a)
+        g = lambda v: ((2 * m - 1) * mpmath.besselj(v, 1)
+                       - (m - 2 * v + 2) * mpmath.besselj(v + 1, 1))
+        root = mpmath.findroot(g, mpmath.mpf(res.nu_a))
+        assert abs(res.nu_a - root) <= 4 * sys.float_info.epsilon * (root + 1)
+        assert mpmath.sign(g(res.lo)) * mpmath.sign(g(res.hi)) == -1
+    assert res.hi - res.lo <= 1e-10
+    if a == 0.5:
+        assert res.nu_a == 1.25
+    if a == 1e6:
+        assert res.nu_a == pytest.approx(-0.56230, abs=1e-5)

@@ -222,6 +222,7 @@ class TestFindZeros:
        nu=st.floats(-0.99, 30.0, exclude_min=True), count=st.integers(1, 8))
 @example(a=0.001, nu=-0.9999, count=8)
 @example(a=3.0, nu=10.0, count=8)
+@example(a=0.0956, nu=15.466, count=1)
 def test_zeros_interlace_over_domain(a, nu, count):
     """Each omega_n lies between the zeros n - 1 and n of J_nu: J_nu changes
     sign n - 1 times on (0, omega_n], so J_nu(omega_n) has sign (-1)^(n-1).
