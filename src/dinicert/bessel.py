@@ -13,13 +13,14 @@ are two ways to sum it:
   random points the worst error is 5.9 ulp with nu uniform in (-1, 171],
   and 39 ulp (7.7e-15) with nu + 1 log-uniform in [1e-3, 172].
 - one fixed-point pass over Python ints for both orders, the second at
-  nu + 1 exactly, for x > 3 and for any pair the doubles reject (nu near
-  -1; Gamma(nu + 1) past the double range).  It starts with 73 + 1.443*x
-  bits, adds guard bits while cancellation leaves fewer than 63, and
-  truncates the result to a double, so results are faithfully rounded
-  (error below 1 ulp), not always correctly rounded: against 40-digit
-  mpmath at 300 random points with nu in (-1, 100] and x in (3, 60], 288
-  of the 600 values are not the nearest double; the worst is 0.998 ulp.
+  nu + 1 exactly and with the same leading-term rule, for x > 3 and for
+  any pair the doubles reject (nu near -1; Gamma(nu + 1) past the double
+  range).  It starts with 73 + 1.443*x bits, adds guard bits while
+  cancellation leaves fewer than 63, and truncates the result to a
+  double, so results are faithfully rounded (error below 1 ulp), not
+  always correctly rounded: against 40-digit mpmath at 300 random points
+  with nu in (-1, 100] and x in (3, 60], 288 of the 600 values are not
+  the nearest double; the worst is 0.998 ulp.
 
 All state is local and mpmath's libmp primitives are pure functions of
 (value, precision), so every function here is safe to call from any
@@ -100,12 +101,14 @@ def _j_pair_fixed(nu: float, x: float) -> tuple[float, float]:
 
     Each series is normalised by its leading term (x/2)^mu / Gamma(mu+1),
     so both sums start at 1 and tiny results keep their relative accuracy;
-    the prefactors are applied in libmp at the end.  nu = p/q, the second
-    order mu = (p + q)/q (nu + 1 even where fl(nu + 1.0) rounds) and x are
-    exact binary rationals, so each term ratio (x/2)^2 / (k (k + mu)) is a
-    ratio of integers and a term costs one multiplication and one
-    truncating division.  The sum runs until both terms truncate to zero;
-    the guard grows while cancellation leaves fewer than 63 bits.
+    the prefactors are applied in libmp at the end, the second as the
+    first times (x/2)/(nu + 1), so one power and one Gamma serve both.
+    nu = p/q, the second order mu = (p + q)/q (nu + 1 even where
+    fl(nu + 1.0) rounds) and x are exact binary rationals, so each term
+    ratio (x/2)^2 / (k (k + mu)) is a ratio of integers and a term costs
+    one multiplication and one truncating division.  The sum runs until
+    both terms truncate to zero; the guard grows while cancellation leaves
+    fewer than 63 bits.
     """
     xn, xd = x.as_integer_ratio()
     p, q = nu.as_integer_ratio()
@@ -131,16 +134,18 @@ def _j_pair_fixed(nu: float, x: float) -> tuple[float, float]:
         cancel = max(m.bit_length() - abs(s).bit_length() if s else prec
                      for m, s in ((m0, s0), (m1, s1)))
         if cancel <= prec - 63:
-            m = from_float(nu)
-            return _scaled(s0, m, x, prec), _scaled(s1, mpf_add(m, fone), x, prec)
+            mu, half = from_float(nu), mpf_shift(from_float(x), -1)
+            mu1 = mpf_add(mu, fone)  # nu + 1, exact
+            lead = mpf_div(mpf_pow(half, mu, prec, _RN), mpf_gamma(mu1, prec, _RN),
+                           prec, _RN)
+            lead1 = mpf_div(mpf_mul(lead, half), mu1, prec, _RN)
+            return _scaled(s0, lead, prec), _scaled(s1, lead1, prec)
         prec += cancel - (prec - 63) + 20
     raise NumericFailure(f"could not reach target precision at nu={nu}, x={x}")
 
 
-def _scaled(s: int, mu, x: float, prec: int) -> float:
-    """s * 2^-prec * (x/2)^mu / Gamma(mu + 1) for a libmp mu, as a double."""
-    lead = mpf_div(mpf_pow(mpf_shift(from_float(x), -1), mu, prec, _RN),
-                   mpf_gamma(mpf_add(mu, fone, prec, _RN), prec, _RN), prec, _RN)
+def _scaled(s: int, lead, prec: int) -> float:
+    """s * 2^-prec * lead for a libmp lead, as a double."""
     return to_float(mpf_mul(from_man_exp(s, -prec), lead, prec, _RN))
 
 

@@ -1,24 +1,26 @@
 """Command-line surface: zeros, sum, critical, certify, eval, boundary, selftest.
 
-Every command prints a JSON envelope {command, inputs, results,
-diagnostics, version} by default (CSV for tabular data on request).
-Result dataclasses render field by field in declaration order, so their
-field names are the wire keys.  Floats are printed with up to 17
-significant digits so output is byte-stable and re-parses to the exact
-double.  Data goes to stdout, diagnostics to stderr.  Exit codes: 0 success, 1 selftest failure,
-2 validation error, 3 numeric failure.
+Handlers only compute: each returns (results, diagnostics, csv_header,
+csv_rows), and ``_output`` alone renders a JSON envelope {command, inputs,
+results, diagnostics, version} or, on ``--format csv`` or selftest without
+``--json``, CSV lines (None as an empty cell).  Result dataclasses render
+field by field in declaration order, so their field names are the wire keys.
+Floats print at up to 17 significant digits: byte-stable, exact round trip.
+Data goes to stdout, diagnostics to stderr.  Exit codes: 0 success, 1
+selftest failure, 2 validation error, 3 numeric failure.
 """
 
 from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import math
 import sys
 
 import numpy as np
 
-from . import __version__
+from . import __version__, selftest
 from .bessel import w_eval, w_prime_eval
 from .certify import certify
 from .criterion import (BOUNDARY_BAND, SEARCH_WINDOW, SUM_CROSS_CHECK_TOL,
@@ -65,9 +67,16 @@ def _render(obj, indent: int = 0) -> str:
     raise TypeError(f"cannot serialize {type(obj).__name__}")
 
 
-def _envelope(command: str, inputs: dict, results, diagnostics: dict) -> str:
+def _output(args, results, diagnostics: dict, header: list[str] | None,
+            rows: list[list]) -> str:
+    """The one place that picks CSV or JSON; inputs are the parsed flags."""
+    flags = vars(args)
+    if flags.get("format") == "csv" or flags.get("json") is False:
+        return _csv(header, rows)
+    inputs = {k: str(v) if isinstance(v, complex) else v
+              for k, v in flags.items() if k not in ("out", "command", "func")}
     return _render({
-        "command": command,
+        "command": args.command,
         "inputs": inputs,
         "results": results,
         "diagnostics": diagnostics,
@@ -75,24 +84,26 @@ def _envelope(command: str, inputs: dict, results, diagnostics: dict) -> str:
     })
 
 
-def _csv(header: list[str], rows: list[list]) -> str:
+def _csv(header: list[str] | None, rows: list[list]) -> str:
     def cell(v):
+        if v is None:
+            return ""
         if isinstance(v, float):
             return _fmt_float(v)
         return str(v)
-    lines = [",".join(header)]
+    lines = [] if header is None else [",".join(header)]
     lines += [",".join(cell(v) for v in row) for row in rows]
     return "\n".join(lines)
 
 
 # ------------------------------------------------------------- commands
 
-def _cmd_zeros(args) -> tuple[str, int]:
-    family = DiniFamily(args.a, Order(args.nu))
-    table = find_zeros(family, args.n, args.tol)
-    if args.format == "csv":
-        rows = [[e.n, e.zero, e.lo, e.hi, e.residual] for e in table.entries]
-        return _csv(["n", "zero", "lo", "hi", "residual"], rows), 0
+def _family(args) -> DiniFamily:
+    return DiniFamily(args.a, Order(args.nu))
+
+
+def _cmd_zeros(args):
+    table = find_zeros(_family(args), args.n, args.tol)
     diag = {
         "scan_step": SCAN_STEP,
         "range_cap": X_MAX,
@@ -100,87 +111,70 @@ def _cmd_zeros(args) -> tuple[str, int]:
         "max_bracket_width": max(e.hi - e.lo for e in table.entries),
         "max_residual": max(e.residual for e in table.entries),
     }
-    inputs = {"a": family.a, "nu": family.nu, "n": args.n, "tol": args.tol,
-              "format": args.format}
-    return _envelope("zeros", inputs, table, diag), 0
+    rows = [[e.n, e.zero, e.lo, e.hi, e.residual] for e in table.entries]
+    return table, diag, ["n", "zero", "lo", "hi", "residual"], rows
 
 
-def _cmd_sum(args) -> tuple[str, int]:
-    family = DiniFamily(args.a, Order(args.nu))
+def _cmd_sum(args):
+    family = _family(args)
     crit = evaluate_criterion(family, n_terms=args.n)
-    applicable = crit.truncated_value is not None
-    if args.format == "csv":
-        row = [family.a, family.nu, crit.closed_value, crit.truncated_value,
-               crit.terms_used, crit.tail_bound, crit.threshold_margin]
-        return _csv(["a", "nu", "closed", "truncated", "terms", "tail_bound",
-                     "margin"], [["" if v is None else v for v in row]]), 0
     diag = {
         "closed_form_accuracy_budget": 1e-11,
-        "truncated_applicable": applicable,
+        "truncated_applicable": crit.truncated_value is not None,
         "tail_bound": crit.tail_bound,
     }
-    inputs = {"a": family.a, "nu": family.nu, "n": args.n, "format": args.format}
-    return _envelope("sum", inputs, crit, diag), 0
+    header = ["a", "nu", "closed", "truncated", "terms", "tail_bound", "margin"]
+    row = [family.a, family.nu, crit.closed_value, crit.truncated_value,
+           crit.terms_used, crit.tail_bound, crit.threshold_margin]
+    return crit, diag, header, [row]
 
 
-def _cmd_critical(args) -> tuple[str, int]:
+def _cmd_critical(args):
     result = critical_order(args.a, tol=args.tol)
-    if args.format == "csv":
-        row = [result.a, result.nu_a, result.lo, result.hi, result.residual,
-               result.sum_at_root]
-        return _csv(["a", "nu_a", "lo", "hi", "residual", "sum_at_root"], [row]), 0
     diag = {
         "search_lo": SEARCH_WINDOW[0],
         "search_hi": SEARCH_WINDOW[1],
         "bracket_width": result.hi - result.lo,
         "sum_cross_check_tol": SUM_CROSS_CHECK_TOL,
     }
-    inputs = {"a": args.a, "tol": args.tol, "format": args.format}
-    return _envelope("critical", inputs, result, diag), 0
+    row = [result.a, result.nu_a, result.lo, result.hi, result.residual,
+           result.sum_at_root]
+    return result, diag, ["a", "nu_a", "lo", "hi", "residual", "sum_at_root"], [row]
 
 
-def _cmd_certify(args) -> tuple[str, int]:
-    family = DiniFamily(args.a, Order(args.nu))
+def _cmd_certify(args):
+    family = _family(args)
     report = certify(family, zero_count=args.n)
-    if args.format == "csv":
-        sc = report.sum_criterion
-        row = [family.a, family.nu, report.verdict,
-               "" if sc is None else sc.closed_value,
-               report.smallest_zero_margin,
-               "" if report.min_re_starlike is None else report.min_re_starlike]
-        return _csv(["a", "nu", "verdict", "closed_sum", "zero_margin",
-                     "min_re_starlike"], [row]), 0
     diag = {
         "zero_count": args.n,
         "boundary_band": BOUNDARY_BAND,
         "decision_route": "closed_form_sum",
         "sampling_is_corroboration_only": True,
     }
-    inputs = {"a": family.a, "nu": family.nu, "n": args.n, "format": args.format}
-    return _envelope("certify", inputs, report, diag), 0
+    header = ["a", "nu", "verdict", "closed_sum", "zero_margin", "min_re_starlike"]
+    row = [family.a, family.nu, report.verdict,
+           getattr(report.sum_criterion, "closed_value", None),
+           report.smallest_zero_margin, report.min_re_starlike]
+    return report, diag, header, [row]
 
 
-def _cmd_eval(args) -> tuple[str, int]:
-    family = DiniFamily(args.a, Order(args.nu))
+def _cmd_eval(args):
+    family = _family(args)
     z = args.z
     w = w_eval(family, z)
     wp = w_prime_eval(family, z)
-    if args.format == "csv":
-        row = [family.a, family.nu, z.real, z.imag, w.real, w.imag, wp.real, wp.imag]
-        return _csv(["a", "nu", "z_re", "z_im", "w_re", "w_im",
-                     "w_prime_re", "w_prime_im"], [row]), 0
     results = {
         "z": {"re": z.real, "im": z.imag},
         "w": {"re": w.real, "im": w.imag},
         "w_prime": {"re": wp.real, "im": wp.imag},
     }
-    diag = {"series_truncation_threshold": 1e-16}
-    inputs = {"a": family.a, "nu": family.nu, "z": str(z), "format": args.format}
-    return _envelope("eval", inputs, results, diag), 0
+    header = ["a", "nu", "z_re", "z_im", "w_re", "w_im", "w_prime_re", "w_prime_im"]
+    row = [family.a, family.nu, z.real, z.imag, w.real, w.imag, wp.real, wp.imag]
+    return results, {"series_truncation_threshold": 1e-16}, header, [row]
 
 
-def _cmd_boundary(args) -> tuple[str, int]:
-    family = DiniFamily(args.a, Order(args.nu))
+def _cmd_boundary(args):
+    family = _family(args)
     m = args.samples
     if m < 1:
         raise DomainError("samples must be positive")
@@ -191,70 +185,37 @@ def _cmd_boundary(args) -> tuple[str, int]:
     wi = w_eval(family, z_inner)
     wpi = w_prime_eval(family, z_inner)
     starlike = np.real(z_inner * wpi / wi)
+    header = ["theta", "w_re", "w_im", "starlike_re_at_0p99"]
     rows = [[float(thetas[k]), float(w[k].real), float(w[k].imag),
              float(starlike[k])] for k in range(m)]
-    if args.format == "csv":
-        return _csv(["theta", "w_re", "w_im", "starlike_re_at_0p99"], rows), 0
-    results = {
-        "samples": [
-            {"theta": r[0], "w_re": r[1], "w_im": r[2], "starlike_re_at_0p99": r[3]}
-            for r in rows
-        ],
-    }
+    results = {"samples": [dict(zip(header, r)) for r in rows]}
     diag = {"samples": m, "starlike_radius": 0.99,
             "series_truncation_threshold": 1e-16}
-    inputs = {"a": family.a, "nu": family.nu, "samples": m, "format": args.format}
-    return _envelope("boundary", inputs, results, diag), 0
+    return results, diag, header, rows
 
 
-def _cmd_selftest(args) -> tuple[str, int]:
-    from . import selftest
-
+def _cmd_selftest(args):
     only = None
     if args.only:
         try:
             only = {int(tok) for tok in args.only.split(",") if tok.strip()}
         except ValueError:
             raise DomainError("--only expects a comma-separated list of check ids")
-        bad = only - {cid for cid, _, _ in selftest._CHECKS}
-        if bad:
-            raise DomainError(f"unknown check ids: {sorted(bad)}")
-    results = selftest.run_checks(only)
-    failed = [r for r in results if not r.passed]
-    code = 1 if failed else 0
-    if args.json:
-        payload = {
-            "checks": results,
-            "passed": len(results) - len(failed),
-            "failed": len(failed),
-        }
-        inputs = {"only": args.only, "json": True}
-        diag = {"checks_run": len(results)}
-        return _envelope("selftest", inputs, payload, diag), code
-    lines = [
-        f"check {r.id:02d} {'PASS' if r.passed else 'FAIL'} "
-        f"{r.name}: {r.detail}"
-        for r in results
-    ]
-    lines.append(f"{len(results) - len(failed)} passed, {len(failed)} failed")
-    return "\n".join(lines), code
+    checks = selftest.run_checks(only)
+    failed = sum(not r.passed for r in checks)
+    payload = {"checks": checks, "passed": len(checks) - failed, "failed": failed}
+    rows = [[f"check {r.id:02d} {'PASS' if r.passed else 'FAIL'} {r.name}: {r.detail}"]
+            for r in checks]
+    rows.append([f"{len(checks) - failed} passed, {failed} failed"])
+    return payload, {"checks_run": len(checks)}, None, rows
 
 
 # -------------------------------------------------------------- parsing
 
-def _add_family_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--a", type=float, required=True,
-                   help="coupling a > 0 of the family (a=2: q_nu, a=1: r_nu)")
-    p.add_argument("--nu", type=float, required=True,
-                   help="Bessel order nu > -1")
-
-
-def _add_format_flag(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--format", choices=("json", "csv"), default="json",
-                   help="output format (default json)")
-
-
+@functools.cache
 def _parser() -> argparse.ArgumentParser:
+    """The argparse tree, built once per process (parse_args only reads it).
+    Each command declares its flags in the order its envelope lists them."""
     p = argparse.ArgumentParser(
         prog="dinicert",
         description="Certified numerics for Dini-function zeros and "
@@ -262,55 +223,47 @@ def _parser() -> argparse.ArgumentParser:
     p.add_argument("--out", default=None, metavar="FILE",
                    help="write output to FILE instead of stdout")
     sub = p.add_subparsers(dest="command", required=True)
+    family = argparse.ArgumentParser(add_help=False)
+    family.add_argument("--a", type=float, required=True,
+                        help="coupling a > 0 of the family (a=2: q_nu, a=1: r_nu)")
+    family.add_argument("--nu", type=float, required=True, help="Bessel order nu > -1")
 
-    q = sub.add_parser("zeros", help="first n positive zeros of D_{a,nu}")
-    _add_family_flags(q)
-    q.add_argument("--n", type=int, default=5, help="number of zeros (default 5)")
-    q.add_argument("--tol", type=float, default=DEFAULT_TOL,
-                   help="bracket width tolerance (default 1e-12)")
-    _add_format_flag(q)
-    q.set_defaults(func=_cmd_zeros)
+    def command(name, func, help_, *parents):
+        q = sub.add_parser(name, help=help_, parents=parents)
+        q.set_defaults(func=func)
+        return q
 
-    q = sub.add_parser("sum", help="criterion sum: closed form and truncated+tail")
-    _add_family_flags(q)
-    q.add_argument("--n", type=int, default=12,
-                   help="zeros in the truncated sum (default 12)")
-    _add_format_flag(q)
-    q.set_defaults(func=_cmd_sum)
-
-    q = sub.add_parser("critical", help="critical order nu_a where the sum hits 1")
-    q.add_argument("--a", type=float, required=True, help="coupling a > 0")
-    q.add_argument("--tol", type=float, default=1e-10,
-                   help="bracket tolerance (default 1e-10)")
-    _add_format_flag(q)
-    q.set_defaults(func=_cmd_critical)
-
-    q = sub.add_parser("certify", help="starlike / close-to-convex verdict for w_{a,nu}")
-    _add_family_flags(q)
-    q.add_argument("--n", type=int, default=12,
-                   help="zeros for the corroborating sum (default 12)")
-    _add_format_flag(q)
-    q.set_defaults(func=_cmd_certify)
-
-    q = sub.add_parser("eval", help="w and w' at one point of the closed unit disk")
-    _add_family_flags(q)
-    q.add_argument("--z", type=complex, required=True,
-                   help="evaluation point, e.g. 0.5 or '0.3+0.4j'")
-    _add_format_flag(q)
-    q.set_defaults(func=_cmd_eval)
-
-    q = sub.add_parser("boundary", help="w on |z|=1 and Re(z w'/w) at r=0.99")
-    _add_family_flags(q)
-    q.add_argument("--samples", type=int, default=64,
-                   help="number of angular samples (default 64)")
-    _add_format_flag(q)
-    q.set_defaults(func=_cmd_boundary)
-
-    q = sub.add_parser("selftest", help="run the acceptance checks")
-    q.add_argument("--json", action="store_true", help="machine-readable report")
-    q.add_argument("--only", default=None,
-                   help="comma-separated check ids to run (default all)")
-    q.set_defaults(func=_cmd_selftest)
+    zeros = command("zeros", _cmd_zeros, "first n positive zeros of D_{a,nu}", family)
+    zeros.add_argument("--n", type=int, default=5, help="number of zeros (default 5)")
+    zeros.add_argument("--tol", type=float, default=DEFAULT_TOL,
+                       help="bracket width tolerance (default 1e-12)")
+    sum_ = command("sum", _cmd_sum, "criterion sum: closed form and truncated+tail",
+                   family)
+    sum_.add_argument("--n", type=int, default=12,
+                      help="zeros in the truncated sum (default 12)")
+    crit = command("critical", _cmd_critical, "critical order nu_a where the sum hits 1")
+    crit.add_argument("--a", type=float, required=True, help="coupling a > 0")
+    crit.add_argument("--tol", type=float, default=1e-10,
+                      help="bracket tolerance (default 1e-10)")
+    cert = command("certify", _cmd_certify,
+                   "starlike / close-to-convex verdict for w_{a,nu}", family)
+    cert.add_argument("--n", type=int, default=12,
+                      help="zeros for the corroborating sum (default 12)")
+    ev = command("eval", _cmd_eval, "w and w' at one point of the closed unit disk",
+                 family)
+    ev.add_argument("--z", type=complex, required=True,
+                    help="evaluation point, e.g. 0.5 or '0.3+0.4j'")
+    bd = command("boundary", _cmd_boundary, "w on |z|=1 and Re(z w'/w) at r=0.99",
+                 family)
+    bd.add_argument("--samples", type=int, default=64,
+                    help="number of angular samples (default 64)")
+    for q in (zeros, sum_, crit, cert, ev, bd):
+        q.add_argument("--format", choices=("json", "csv"), default="json",
+                       help="output format (default json)")
+    st = command("selftest", _cmd_selftest, "run the acceptance checks")
+    st.add_argument("--only", default=None,
+                    help="comma-separated check ids to run (default all)")
+    st.add_argument("--json", action="store_true", help="machine-readable report")
     return p
 
 
@@ -320,7 +273,8 @@ def main(argv: list[str] | None = None) -> int:
     except SystemExit as exc:
         return int(exc.code) if exc.code else 0
     try:
-        text, code = args.func(args)
+        results, diagnostics, header, rows = args.func(args)
+        text = _output(args, results, diagnostics, header, rows)
     except DomainError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
@@ -332,7 +286,8 @@ def main(argv: list[str] | None = None) -> int:
             fh.write(text + "\n")
     else:
         print(text)
-    return code
+    # selftest's results count failed checks, and any failure exits 1
+    return 1 if isinstance(results, dict) and results.get("failed") else 0
 
 
 if __name__ == "__main__":

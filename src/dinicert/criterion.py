@@ -55,7 +55,6 @@ class CriticalOrder:
     lo: float
     hi: float
     residual: float
-    unique_in_scan: bool
     sum_at_root: float
 
 
@@ -205,4 +204,4 @@ def critical_order(a: float, tol: float = 1e-10) -> CriticalOrder:
         raise NumericFailure(
             f"sum criterion at nu_a deviates from 1 by {abs(s_root - 1.0):.3e} "
             f"(> {SUM_CROSS_CHECK_TOL:g}) for a={a:g}")
-    return CriticalOrder(a, root, lo, hi, residual, True, s_root)
+    return CriticalOrder(a, root, lo, hi, residual, s_root)

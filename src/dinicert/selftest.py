@@ -20,6 +20,7 @@ import numpy as np
 from .bessel import bessel_j, oracle_closed_form, w_eval
 from .certify import certify, factorization_check, starlike_sample, default_radii
 from .criterion import critical_order, evaluate_criterion, sum_closed
+from .errors import DomainError
 from .families import DiniFamily, Order
 from .zeros import find_zeros, ismail_lower_bound
 
@@ -278,7 +279,11 @@ _CHECKS = (
 
 
 def run_checks(only: set[int] | None = None) -> list[CheckResult]:
-    """Run the acceptance checks (all, or the subset in ``only``)."""
+    """Run the acceptance checks (all, or the subset in ``only``); an id in
+    ``only`` that names no check raises DomainError."""
+    bad = set(only or ()) - {cid for cid, _, _ in _CHECKS}
+    if bad:
+        raise DomainError(f"unknown check ids: {sorted(bad)}")
     ctx: dict = {}
     results = []
     for cid, name, fn in _CHECKS:

@@ -7,7 +7,7 @@ failure output); the same checks back ``dinicert selftest``.
 import mpmath
 import pytest
 
-from dinicert import selftest
+from dinicert import DomainError, selftest
 
 
 @pytest.fixture(scope="module")
@@ -24,6 +24,11 @@ def test_acceptance_criterion(cid, results):
     line = f"criterion {r.id:02d} {'PASS' if r.passed else 'FAIL'} {r.name}: {r.detail}"
     print(line)
     assert r.passed, line
+
+
+def test_unknown_check_ids_are_rejected():
+    with pytest.raises(DomainError, match=r"^unknown check ids: \[0, 42\]$"):
+        selftest.run_checks({3, 42, 0})
 
 
 def _mp_sum(a, nu):

@@ -65,6 +65,9 @@ class TestExitCodes:
         assert (code, out) == (3, "")
         assert err.startswith("numeric failure: zero 1 near x=3.3")
 
+    def test_parser_built_once(self):
+        assert cli._parser() is cli._parser()
+
     def test_unknown_flag(self):
         code, _, _ = run_inproc(["zeros", "--a", "1", "--nu", "0.5", "--bogus"])
         assert code == 2

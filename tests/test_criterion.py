@@ -134,7 +134,9 @@ class TestCriticalOrder:
         assert res.hi - res.lo <= 1e-10
         assert critical_equation(2.0, res.lo) * critical_equation(2.0, res.hi) < 0
         assert abs(res.sum_at_root - 1.0) <= 1e-8
-        assert res.unique_in_scan
+        # the root is g's only sign change on (-1, 2] (proof in the docstring)
+        signs = [critical_equation(2.0, -0.995 + 0.01 * k) > 0 for k in range(300)]
+        assert sum(s != t for s, t in zip(signs, signs[1:])) == 1
 
     def test_a1_root(self):
         res = critical_order(1.0)
