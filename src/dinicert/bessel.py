@@ -12,15 +12,16 @@ are two ways to sum it:
   exceeds the sum by less than 64x.  Against 40-digit mpmath at 2,700
   random points the worst error is 5.9 ulp with nu uniform in (-1, 171],
   and 39 ulp (7.7e-15) with nu + 1 log-uniform in [1e-3, 172].
-- one fixed-point pass over Python ints for both orders, the second at
-  nu + 1 exactly and with the same leading-term rule, for x > 3 and for
-  any pair the doubles reject (nu near -1; Gamma(nu + 1) past the double
-  range).  It starts with 73 + 1.443*x bits, adds guard bits while
-  cancellation leaves fewer than 63, and truncates the result to a
-  double, so results are faithfully rounded (error below 1 ulp), not
-  always correctly rounded: against 40-digit mpmath at 300 random points
-  with nu in (-1, 100] and x in (3, 60], 288 of the 600 values are not
-  the nearest double; the worst is 0.998 ulp.
+- one fixed-point pass over Python ints, for x > 3 and for any pair the
+  doubles reject (nu near -1; Gamma(nu + 1) past the double range).  One
+  recurrence gives J_nu's terms over its leading term, and J_{nu+1}, at
+  nu + 1 exactly, is the same terms weighted by k (the series
+  differentiated term by term).  It starts with 73 + 1.443*x bits, adds
+  guard bits while cancellation leaves fewer than 63, and truncates the
+  result to a double, so results are faithfully rounded (error below
+  1 ulp), not always correctly rounded: against 40-digit mpmath at 300
+  random points with nu in (-1, 100] and x in (3, 60], 288 of the 600
+  values are not the nearest double; the worst is 0.998 ulp.
 
 All state is local and mpmath's libmp primitives are pure functions of
 (value, precision), so every function here is safe to call from any
@@ -70,7 +71,7 @@ def _j_pair_float(nu: float, x: float) -> tuple[float, float] | None:
             t0 = (0.5 * x) ** nu / math.gamma(nu + 1.0)
         else:
             t0 = (0.5 * x) ** nu / nu / math.gamma(nu)
-    except OverflowError:
+    except (OverflowError, ZeroDivisionError):  # past the double range
         return None
     t1 = t0 * (0.5 * x) / (nu + 1.0)  # from t0, so no order is rounded
     s0, s1, m0, m1 = t0, t1, abs(t0), abs(t1)
@@ -96,63 +97,71 @@ def _j_pair_float(nu: float, x: float) -> tuple[float, float] | None:
     return s0, s1
 
 
-def _j_pair_fixed(nu: float, x: float) -> tuple[float, float]:
-    """(J_nu(x), J_{nu+1}(x)) summed together in Python-int fixed point.
-
-    Each series is normalised by its leading term (x/2)^mu / Gamma(mu+1),
-    so both sums start at 1 and tiny results keep their relative accuracy;
-    the prefactors are applied in libmp at the end, the second as the
-    first times (x/2)/(nu + 1), so one power and one Gamma serve both.
-    nu = p/q, the second order mu = (p + q)/q (nu + 1 even where
-    fl(nu + 1.0) rounds) and x are exact binary rationals, so each term
-    ratio (x/2)^2 / (k (k + mu)) is a ratio of integers and a term costs
-    one multiplication and one truncating division.  The sum runs until
-    both terms truncate to zero; the guard grows while cancellation leaves
-    fewer than 63 bits.
-    """
+def _j_sums(nu: float, x: float) -> tuple[int, int, int, int]:
+    """(s0, s1, prec, wp): J_nu(x) = lead s0 2^-prec, J_{nu+1}(x) = -lead s1 2^-prec
+    / (x/2), lead = (x/2)^nu / Gamma(nu + 1).  t_k are J_nu's terms over lead,
+    so s0 = sum (-1)^k t_k starts at 1 and keeps its relative accuracy, and
+    x J_{nu+1} = nu J_nu - x J'_nu = -lead sum (-1)^k 2k t_k (DLMF 10.6.2, the
+    series differentiated) gives s1 = sum (-1)^k k t_k.  nu = p/q and x are
+    binary rationals, so a term costs one multiplication and one truncating
+    division by integers.  The sum runs until the term truncates to zero; the
+    guard grows while cancellation leaves fewer than 63 bits in either sum.
+    wp, the bits the prefactor needs, omits the fraction bits that keep s1's
+    leading term (x/2)^2 / (nu + 1) at least 2^wp where it is below 1."""
     xn, xd = x.as_integer_ratio()
     p, q = nu.as_integer_ratio()
     c, d = xn * xn * q, 4 * xd * xd
-    prec = 73 + int(1.443 * x)
+    wp = 73 + int(1.443 * x)
+    lift = max(0, (d * (q + p)).bit_length() - c.bit_length())
     for _ in range(4):
-        t0 = t1 = s0 = s1 = m0 = m1 = 1 << prec
-        k = 0
-        while t0 or t1:
+        prec = wp + lift
+        t = s0 = m0 = m1 = 1 << prec
+        s1 = k = 0
+        while t:
             k += 1
             if k > 500:
                 raise NumericFailure(f"Bessel series did not converge at nu={nu}, x={x}")
-            t0 = t0 * c // (d * k * (k * q + p))
-            t1 = t1 * c // (d * k * (k * q + p + q))
+            t = t * c // (d * k * (k * q + p))
+            kt = k * t
             if k & 1:
-                s0 -= t0
-                s1 -= t1
+                s0 -= t
+                s1 -= kt
             else:
-                s0 += t0
-                s1 += t1
-            m0 = max(m0, t0)
-            m1 = max(m1, t1)
+                s0 += t
+                s1 += kt
+            if t > m0:  # inline: a max() call costs as much as the term
+                m0 = t
+            if kt > m1:
+                m1 = kt
         cancel = max(m.bit_length() - abs(s).bit_length() if s else prec
                      for m, s in ((m0, s0), (m1, s1)))
         if cancel <= prec - 63:
-            mu, half = from_float(nu), mpf_shift(from_float(x), -1)
-            mu1 = mpf_add(mu, fone)  # nu + 1, exact
-            lead = mpf_div(mpf_pow(half, mu, prec, _RN), mpf_gamma(mu1, prec, _RN),
-                           prec, _RN)
-            lead1 = mpf_div(mpf_mul(lead, half), mu1, prec, _RN)
-            return _scaled(s0, lead, prec), _scaled(s1, lead1, prec)
-        prec += cancel - (prec - 63) + 20
+            return s0, s1, prec, wp
+        wp += cancel - (prec - 63) + 20
     raise NumericFailure(f"could not reach target precision at nu={nu}, x={x}")
 
 
-def _scaled(s: int, lead, prec: int) -> float:
-    """s * 2^-prec * lead for a libmp lead, as a double."""
-    return to_float(mpf_mul(from_man_exp(s, -prec), lead, prec, _RN))
-
-
 def _j_pair(nu: float, x: float) -> tuple[float, float]:
-    """(J_nu(x), J_{nu+1}(x)): doubles where they suffice, else fixed point."""
-    pair = _j_pair_float(nu, x) if x <= _FLOAT_PATH_X_MAX else None
-    return pair or _j_pair_fixed(nu, x)
+    """(J_nu(x), J_{nu+1}(x)): doubles where they suffice, else the fixed
+    sums times their prefactor in libmp, where one power and one Gamma (at
+    nu + 1 exactly) serve both orders."""
+    if x <= _FLOAT_PATH_X_MAX and (pair := _j_pair_float(nu, x)):
+        return pair
+    s0, s1, prec, wp = _j_sums(nu, x)
+    mu, half = from_float(nu), mpf_shift(from_float(x), -1)
+    lead = mpf_div(mpf_pow(half, mu, wp, _RN), mpf_gamma(mpf_add(mu, fone), wp, _RN), wp, _RN)
+    return tuple(to_float(mpf_mul(from_man_exp(s, -prec), f, wp, _RN))
+                 for s, f in ((s0, lead), (-s1, mpf_div(lead, half, wp, _RN))))
+
+
+def _j_pair_scaled(nu: float, x: float) -> tuple[float, float]:
+    """c (J_nu(x), J_{nu+1}(x)) for some c(nu, x) > 0: the double pair, else
+    the fixed-point sums without the libmp prefactor (c = lead)."""
+    if x <= _FLOAT_PATH_X_MAX and (pair := _j_pair_float(nu, x)):
+        return pair
+    s0, s1, prec, _ = _j_sums(nu, x)
+    xn, xd = x.as_integer_ratio()
+    return s0 / (1 << prec), -2 * xd * s1 / (xn << prec)  # int / int rounds once
 
 
 def _j_ratio(nu: float) -> float:

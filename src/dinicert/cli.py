@@ -196,7 +196,7 @@ def _cmd_boundary(args):
 
 def _cmd_selftest(args):
     only = None
-    if args.only:
+    if args.only is not None:
         try:
             only = {int(tok) for tok in args.only.split(",") if tok.strip()}
         except ValueError:

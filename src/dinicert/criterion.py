@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 from .bessel import _j_pair, _j_ratio
 from .errors import DomainError, NumericFailure, PoleError
-from .families import DiniFamily, _as_nu
+from .families import DiniFamily, _as_a, _as_nu
 from .zeros import MAX_ZEROS, ZeroTable, find_zeros
 
 POLE_REL = 1e-10
@@ -160,9 +160,7 @@ def critical_order(a: float, tol: float = 1e-10) -> CriticalOrder:
     Certified as a zero is: g, in its J-pair form, changes sign across
     [nu_a -+ 0.49 tol], which must round to width <= tol; |g(nu_a)| <= 1e-12
     times the sum of its terms' moduli; and |S(a, nu_a) - 1| <= 1e-8."""
-    a = float(a)
-    if not a > 0.0:
-        raise DomainError("a must be positive")
+    a = _as_a(a)
     tol = float(tol)
     if not 0.0 < tol <= 1e-2:
         raise DomainError("tol must lie in (0, 1e-2]")

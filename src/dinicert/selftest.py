@@ -279,8 +279,10 @@ _CHECKS = (
 
 
 def run_checks(only: set[int] | None = None) -> list[CheckResult]:
-    """Run the acceptance checks (all, or the subset in ``only``); an id in
-    ``only`` that names no check raises DomainError."""
+    """Run the acceptance checks (all, or the subset in ``only``); an empty
+    ``only``, or an id in it that names no check, raises DomainError."""
+    if only is not None and not only:
+        raise DomainError("no check ids selected")
     bad = set(only or ()) - {cid for cid, _, _ in _CHECKS}
     if bad:
         raise DomainError(f"unknown check ids: {sorted(bad)}")

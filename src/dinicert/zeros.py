@@ -22,6 +22,11 @@ ulp.  One bracket [x - 0.49 tol, x + 0.49 tol] is then certified by a sign
 change, a nonvanishing derivative and a residual check against the scale
 |a J_nu| + |x J_{nu+1}|; a failed check, or a bracket that rounds wider than
 tol or reaches x <= 0, raises NumericFailure.
+
+D and D' are linear in the pair, so the scan and Newton take it only up to a
+positive factor (``_j_pair_scaled``, no libmp prefactor): no sign, step or
+halving sees the factor.  The certificate's pairs at x and the bracket ends
+carry the prefactor, so its checks and the residual are in true units.
 """
 
 from __future__ import annotations
@@ -29,7 +34,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .bessel import X_MAX, _check_x, _j_pair
+from .bessel import X_MAX, _check_x, _j_pair, _j_pair_scaled
 from .errors import DomainError, NumericFailure
 from .families import DiniFamily
 
@@ -107,19 +112,15 @@ def ismail_lower_bound(family: DiniFamily) -> float:
     return 4.0 * family.a * (family.nu + 1.0) / (family.a + 2.0)
 
 
-def _scale(a: float, x: float, j0: float, j1: float) -> float:
-    return abs(a * j0) + abs(x * j1)
-
-
 def _refine(family: DiniFamily, n: int, lo: float, hi: float, flo: float,
             tol: float) -> ZeroEntry:
     """Zero number n in the scan's sign bracket (lo, hi), refined and
-    certified as the module docstring describes, from one _j_pair."""
+    certified as the module docstring describes."""
     a, nu = family.a, family.nu
     slo = math.copysign(1.0, flo)
     x = 0.5 * (lo + hi)
     for _ in range(100):
-        j0, j1 = _j_pair(nu, x)
+        j0, j1 = _j_pair_scaled(nu, x)
         d = _d_from_pair(a, x, j0, j1)
         if math.copysign(1.0, d) == slo:
             lo = x
@@ -142,13 +143,14 @@ def _refine(family: DiniFamily, n: int, lo: float, hi: float, flo: float,
         raise NumericFailure(
             f"zero {n} near x={x!r} could not be refined to a bracket of width "
             f"<= {tol:g} inside x > 0")
-    jl, jh = _j_pair(nu, blo), _j_pair(nu, bhi)
+    jl, jh, jx = (_j_pair(nu, v) for v in (blo, bhi, x))
     dl, dh = _d_from_pair(a, blo, *jl), _d_from_pair(a, bhi, *jh)
     if dl == 0.0 or dh == 0.0 or math.copysign(1.0, dl) == math.copysign(1.0, dh):
         raise NumericFailure(
             f"bracket [{blo!r}, {bhi!r}] has no sign change; zero {n} could not "
             "be refined to a certified zero")
-    scale = max(_scale(a, blo, *jl), _scale(a, bhi, *jh), _scale(a, x, j0, j1))
+    d, dp = _d_from_pair(a, x, *jx), _dprime_from_pair(a, nu, x, *jx)
+    scale = max(abs(a * j0) + abs(v * j1) for v, (j0, j1) in ((blo, jl), (bhi, jh), (x, jx)))
     if abs(dp) <= 1e-8 * scale:
         raise NumericFailure(
             f"derivative vanishes at refined zero x={x!r}; zero may not be simple")
@@ -173,7 +175,7 @@ def find_zeros(family: DiniFamily, count: int, tol: float = DEFAULT_TOL) -> Zero
     x = 0.5 * math.sqrt(ismail_lower_bound(family))
     if x == 0.0:  # 4a(nu + 1) underflowed; the same start from factors that do not
         x = math.sqrt(a) * math.sqrt((nu + 1.0) / (a + 2.0))
-    jx = _j_pair(nu, x)
+    jx = _j_pair_scaled(nu, x)
     fx = _d_from_pair(a, x, *jx)
     sign = lambda v: math.copysign(1.0, v)
     entries: list[ZeroEntry] = []
@@ -184,7 +186,7 @@ def find_zeros(family: DiniFamily, count: int, tol: float = DEFAULT_TOL) -> Zero
                 f"below x={X_MAX:g}, needed {count}")
         y = min(x + SCAN_STEP, X_MAX)
         while True:
-            jy = _j_pair(nu, y)
+            jy = _j_pair_scaled(nu, y)
             fy = _d_from_pair(a, y, *jy)
             # Two zeros: omega_n, j_{nu,n} and omega_{n+1} all lie in (x, y).
             if not (sign(fx) == sign(fy) == sign(jx[0]) != sign(jy[0])):

@@ -31,6 +31,11 @@ def test_unknown_check_ids_are_rejected():
         selftest.run_checks({3, 42, 0})
 
 
+def test_empty_check_selection_is_rejected():
+    with pytest.raises(DomainError, match=r"^no check ids selected$"):
+        selftest.run_checks(set())
+
+
 def _mp_sum(a, nu):
     """S(a, nu) = -f'(1) / (2 f(1)) for f(x) = x^-nu D_{a,nu}(x), the
     Mittag-Leffler form of sum 1/(omega_n^2 - 1), in mpmath alone."""

@@ -7,7 +7,7 @@ import sys
 import mpmath
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from scipy import special
 
@@ -22,7 +22,7 @@ from dinicert import (
     w_eval,
     w_prime_eval,
 )
-from dinicert.bessel import _j_pair, _j_ratio
+from dinicert.bessel import _j_pair, _j_pair_scaled, _j_ratio
 
 
 def j_brute(nu, x, terms=60):
@@ -125,6 +125,12 @@ class TestBesselJ:
         with pytest.raises(DomainError):
             Order(-1.0)
 
+    @pytest.mark.parametrize("a,nu", [(math.inf, 0.5), (1.0, math.inf),
+                                      (-math.inf, 0.5), (math.nan, 0.5)])
+    def test_non_finite_parameters(self, a, nu):
+        with pytest.raises(DomainError):
+            DiniFamily(a, nu)
+
 
 class TestAgainstMpmath:
     """Both summation paths against 50-digit mpmath, where |J| is far below 1."""
@@ -152,10 +158,18 @@ class TestAgainstMpmath:
         assert abs(sum_closed(DiniFamily(1.0, Order(20.0))) - ref) <= 1e-12 * abs(ref)
 
     # (15.098..., 5.59...): nu + 1.0 rounds by 1.8e-15, and J at the rounded
-    # order is 14 ulp off J_{nu+1}.
+    # order is 14 ulp off J_{nu+1}.  The last six x are the doubles nearest
+    # zeros of J_{nu+1}, where the k-weighted sum for J_{nu+1} cancels to
+    # about 1e-16 of its terms and the guard must add bits for it alone.
     @pytest.mark.parametrize("nu,x", [(30.0, 4.0), (40.0, 4.96), (60.0, 5.0),
                                       (0.3, 45.0), (10.0, 59.0), (175.0, 2.9),
-                                      (15.098473923193199, 5.590940537789909)])
+                                      (15.098473923193199, 5.590940537789909),
+                                      (0.0, 3.8317059702075125),
+                                      (0.0, 38.474766234771614),
+                                      (2.5, 10.417118547379365),
+                                      (15.098473923193199, 21.192365812297204),
+                                      (-0.6, 6.13335049782515),
+                                      (0.3, 45.223016071459725)])
     def test_fixed_point_pair_within_one_ulp(self, nu, x):
         with mpmath.workdps(50):
             orders = (mpmath.mpf(nu), mpmath.mpf(nu) + 1)
@@ -166,6 +180,13 @@ class TestAgainstMpmath:
             assert abs(value - ref) <= math.ulp(float(ref))
 
 
+    # (x/2)^nu at x = 5e-324, nu < 0 is 0.0 ** nu, a ZeroDivisionError that
+    # once escaped the double path instead of sending the pair to fixed point.
+    def test_smallest_x_negative_order(self):
+        value = bessel_j(Order(-0.5), 5e-324)
+        ref = self.ref(-0.5, 5e-324)
+        assert abs(value - ref) <= math.ulp(value)
+
     # (15.466, 1.772): fl(nu + 1.0) rounds, and the double path once summed
     # J at the rounded order, 43 ulp off J_{nu+1}.
     def test_double_path_pair_at_exact_orders(self):
@@ -174,6 +195,22 @@ class TestAgainstMpmath:
             orders = (mpmath.mpf(nu), mpmath.mpf(nu) + 1)
         for mu, value in zip(orders, _j_pair(nu, x)):
             assert abs(value - self.ref(mu, x)) <= 2 * math.ulp(value)
+
+
+@settings(max_examples=200, derandomize=True, deadline=None)
+@given(nu=st.floats(-1.0, 400.0, exclude_min=True),
+       x=st.floats(0.0, 60.0, exclude_min=True))
+def test_scaled_pair_is_a_positive_multiple(nu, x):
+    """_j_pair_scaled is (J_nu, J_{nu+1}) times some c > 0: wherever both
+    pairs and J_{nu+1} / J_nu are normal doubles, the signs agree and so does
+    the ratio, to 8 ulp (each _j_pair value is within 1 ulp, each scaled one
+    within about half an ulp, and the quotients round once more)."""
+    (j0, j1), (c0, c1) = _j_pair(nu, x), _j_pair_scaled(nu, x)
+    assume(min(abs(j0), abs(j1), abs(c0), abs(c1)) >= sys.float_info.min)
+    assume(abs(j1 / j0) >= sys.float_info.min)
+    assert (math.copysign(1.0, c0), math.copysign(1.0, c1)) == \
+        (math.copysign(1.0, j0), math.copysign(1.0, j1))
+    assert abs(c1 / c0 - j1 / j0) <= 8 * math.ulp(j1 / j0)
 
 
 @settings(max_examples=60, derandomize=True, deadline=None)

@@ -65,6 +65,21 @@ class TestExitCodes:
         assert (code, out) == (3, "")
         assert err.startswith("numeric failure: zero 1 near x=3.3")
 
+    @pytest.mark.parametrize("argv,message", [
+        (["zeros", "--a", "inf", "--nu", "0.5"], "a must be finite"),
+        (["certify", "--a", "inf", "--nu", "0.5"], "a must be finite"),
+        (["critical", "--a", "inf"], "a must be finite"),
+        (["sum", "--a", "1", "--nu", "inf"], "nu must be finite"),
+    ])
+    def test_non_finite_parameters_rejected(self, argv, message):
+        # a = inf once made the scan start inf / inf = NaN (exit 1, a
+        # traceback), and nu = inf put a Dini zero at radius 1 (exit 3)
+        assert run_inproc(argv) == (2, "", f"error: {message}\n")
+
+    def test_empty_check_selection_rejected(self):
+        assert run_inproc(["selftest", "--only", ","]) == (
+            2, "", "error: no check ids selected\n")
+
     def test_parser_built_once(self):
         assert cli._parser() is cli._parser()
 
