@@ -141,17 +141,26 @@ def _j_sums(nu: float, x: float) -> tuple[int, int, int, int]:
     raise NumericFailure(f"could not reach target precision at nu={nu}, x={x}")
 
 
-def _j_pair(nu: float, x: float) -> tuple[float, float]:
+def _j_pair(nu: float, x: float, sums: tuple[int, int, int, int] | None = None
+            ) -> tuple[float, float]:
     """(J_nu(x), J_{nu+1}(x)): doubles where they suffice, else the fixed
-    sums times their prefactor in libmp, where one power and one Gamma (at
-    nu + 1 exactly) serve both orders."""
+    sums (``sums`` if the caller already holds _j_sums(nu, x)) times their
+    prefactor in libmp, where one power and one Gamma (at nu + 1 exactly)
+    serve both orders."""
     if x <= _FLOAT_PATH_X_MAX and (pair := _j_pair_float(nu, x)):
         return pair
-    s0, s1, prec, wp = _j_sums(nu, x)
+    s0, s1, prec, wp = sums or _j_sums(nu, x)
     mu, half = from_float(nu), mpf_shift(from_float(x), -1)
     lead = mpf_div(mpf_pow(half, mu, wp, _RN), mpf_gamma(mpf_add(mu, fone), wp, _RN), wp, _RN)
     return tuple(to_float(mpf_mul(from_man_exp(s, -prec), f, wp, _RN))
                  for s, f in ((s0, lead), (-s1, mpf_div(lead, half, wp, _RN))))
+
+
+def _sums_scaled(x: float, s0: int, s1: int, prec: int) -> tuple[float, float]:
+    """lead^-1 (J_nu(x), J_{nu+1}(x)) from _j_sums' output: s0 2^-prec and
+    -s1 2^-prec / (x/2), each an int quotient rounded once."""
+    xn, xd = x.as_integer_ratio()
+    return s0 / (1 << prec), -2 * xd * s1 / (xn << prec)
 
 
 def _j_pair_scaled(nu: float, x: float) -> tuple[float, float]:
@@ -159,20 +168,26 @@ def _j_pair_scaled(nu: float, x: float) -> tuple[float, float]:
     the fixed-point sums without the libmp prefactor (c = lead)."""
     if x <= _FLOAT_PATH_X_MAX and (pair := _j_pair_float(nu, x)):
         return pair
-    s0, s1, prec, _ = _j_sums(nu, x)
-    xn, xd = x.as_integer_ratio()
-    return s0 / (1 << prec), -2 * xd * s1 / (xn << prec)  # int / int rounds once
+    return _sums_scaled(x, *_j_sums(nu, x)[:3])
 
 
-def _j_ratio(nu: float) -> float:
-    """rho = J_{nu+2}(1) / J_{nu+1}(1) by the backward continued fraction
-    r_{mu-1} = 1 / (2 mu - r_mu), r_mu = J_{mu+1}(1) / J_mu(1) in
-    (0, 1 / (2 mu + 1)) (DLMF 10.10.1), from r = 0 at mu = nu + 24.  Level k
-    multiplies the tail error by less than 1 / (2 (nu + k) - 1)^2, about
-    1 / (4 (nu + k)^2): below 1 / (47 * 45!!^2) < 4e-59 relative in all."""
+def _j_ratio(nu: float, x: float = 1.0, shift: int = 1) -> float:
+    """J_{mu+1}(x) / J_mu(x) at mu = nu + shift (an integer, so mu is exact)
+    by the backward continued fraction r_{m-1} = x / (2m - x r_m),
+    r_m = J_{m+1}(x) / J_m(x) (DLMF 10.10.1), from r = 0 at
+    m = mu + int(1.25 x + 3 x^(1/3)) + 19.  Past m = x a level shrinks the
+    tail error by about (x / 2m)^2 (at x = 1 below 4e-59 relative in all; at
+    200,000 random points 40 more levels moved no bit), so only rounding
+    remains: atan r is within (x + 8) eps of atan(J_{mu+1} / J_mu), modulo pi
+    (worst 0.64 (x + 8) eps against 40-digit mpmath, nu in (-0.9, 40] and
+    x in (0, 60], half the draws at or next to zeros of J_nu or J_{nu+1}).
+    A denominator that rounds to 0 (J_m(x) = 0 in doubles) is taken as
+    5e-324, so r_{m-1} = inf and the next level is its limit -0.0.  The
+    defaults give rho = J_{nu+2}(1) / J_{nu+1}(1), within 2 eps relative for
+    nu in (-1, 1000]."""
     t = 0.0
-    for k in range(24, 1, -1):
-        t = 1.0 / (2.0 * (nu + k) - t)
+    for k in range(int(1.25 * x + 3.0 * x ** (1.0 / 3.0)) + 19 + shift, shift, -1):
+        t = x / ((2.0 * (nu + k) - x * t) or 5e-324)
     return t
 
 

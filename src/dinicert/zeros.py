@@ -16,25 +16,37 @@ J_nu changes sign and sign D = sign J_nu (a - y > 0) at its left end; such a
 step is halved.  The scan starts at half the square root of the Ismail bound,
 below omega_1, where D > 0 and J_nu > 0; its last step ends at x = 60.
 
-Refinement.  Bracket-safeguarded Newton from the midpoint of the step runs
-until its step or the bracket is one ulp of x, leaving the zero within a few
-ulp.  One bracket [x - 0.49 tol, x + 0.49 tol] is then certified by a sign
-change, a nonvanishing derivative and a residual check against the scale
-|a J_nu| + |x J_{nu+1}|; a failed check, or a bracket that rounds wider than
-tol or reaches x <= 0, raises NumericFailure.
+Refinement.  Bracket-safeguarded Newton from the middle of the scan step runs
+until its step or the bracket is one ulp of x; a rejected step bisects,
+geometrically across more than a factor 4.  The step D / D' needs the pair
+only up to a positive factor: where J_nu keeps one sign across the bracket it
+is (J_nu, J_{nu+1}) / |J_nu| = sign J_nu (1, r), r from the continued fraction
+``_j_ratio`` in doubles; before that, in a step that straddles a zero of J_nu
+(usually for one iterate), and for a subnormal a, which a - x r cannot
+resolve, it is ``_j_pair_scaled``.  The finish takes the fixed-point sums once
+at x, where D / lead = (an s0 + 2 ad s1) / (ad 2^prec) for a = an / ad is
+rounded only once, and takes up to two Newton steps on it that move x, bounded
+by the scan step, not by the Newton bracket, whose ends took the sign of D
+from rounded values.  Against 40-digit mpmath the worst of 1,690 zeros (200
+random tables and the zero-tables benchmark inputs) is 0.4998 ulp.
 
-D and D' are linear in the pair, so the scan and Newton take it only up to a
-positive factor (``_j_pair_scaled``, no libmp prefactor): no sign, step or
-halving sees the factor.  The certificate's pairs at x and the bracket ends
-carry the prefactor, so its checks and the residual are in true units.
+Certificate.  The bracket [x - 0.49 tol, x + 0.49 tol] must round to width
+<= tol inside x > 0, D must change sign across it, and at x |D'| > 1e-8 scale
+and |D| <= 1e-10 scale, scale = |a J_nu| + |x J_{nu+1}|; else NumericFailure.
+No check sees a positive factor, so they run on ``_j_pair_scaled`` at the ends
+and on the finish's sums at x, and nothing underflows: J_400(40) = 1.5e-349,
+yet D_(2,400)'s first zero is certified.  The libmp prefactor is applied once,
+at x, for the reported ``residual``, which is in true units (0.0 where the
+true pair underflows).
 """
 
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
-from .bessel import X_MAX, _check_x, _j_pair, _j_pair_scaled
+from .bessel import X_MAX, _check_x, _j_pair, _j_pair_scaled, _j_ratio, _j_sums, _sums_scaled
 from .errors import DomainError, NumericFailure
 from .families import DiniFamily
 
@@ -78,6 +90,10 @@ class ZeroTable:
         return min([math.pi] + [b - a for a, b in zip(zs, zs[1:])])
 
 
+def _sign(v: float) -> float:
+    return math.copysign(1.0, v)
+
+
 def _d_from_pair(a: float, x: float, j0: float, j1: float) -> float:
     return a * j0 - x * j1
 
@@ -113,51 +129,69 @@ def ismail_lower_bound(family: DiniFamily) -> float:
 
 
 def _refine(family: DiniFamily, n: int, lo: float, hi: float, flo: float,
-            tol: float) -> ZeroEntry:
-    """Zero number n in the scan's sign bracket (lo, hi), refined and
-    certified as the module docstring describes."""
+            jlo: float, jhi: float, tol: float) -> ZeroEntry:
+    """Zero number n in the scan step (lo, hi), where D is flo at lo and J_nu
+    is jlo and jhi up to positive factors, refined and certified as the
+    module docstring describes."""
     a, nu = family.a, family.nu
-    slo = math.copysign(1.0, flo)
+    slo, step_lo, step_hi = _sign(flo), lo, hi
+    sj_lo, sj_hi = _sign(jlo), _sign(jhi)
+    by_pair = a < sys.float_info.min  # a - x r ~ a near the zero
     x = 0.5 * (lo + hi)
     for _ in range(100):
-        j0, j1 = _j_pair_scaled(nu, x)
-        d = _d_from_pair(a, x, j0, j1)
-        if math.copysign(1.0, d) == slo:
-            lo = x
+        if by_pair or sj_lo != sj_hi:
+            j0, j1 = _j_pair_scaled(nu, x)
+        else:  # J_nu has the sign sj_lo on (lo, hi): the pair over |J_nu|
+            j0, j1 = sj_lo, sj_lo * _j_ratio(nu, x, 0)
+        d, dp = _d_from_pair(a, x, j0, j1), _dprime_from_pair(a, nu, x, j0, j1)
+        if _sign(d) == slo:
+            lo, sj_lo = x, _sign(j0)
         else:
-            hi = x
-        dp = _dprime_from_pair(a, nu, x, j0, j1)
+            hi, sj_hi = x, _sign(j0)
         step = d / dp if dp != 0.0 else math.inf
         # Tested before the safeguard, which would bisect on a converged
         # step that rounds x - step onto the endpoint x has just become.
         if min(abs(step), hi - lo) <= math.ulp(x):
             break
-        x_new = x - step
-        x = x_new if lo < x_new < hi else 0.5 * (lo + hi)
+        x -= step
+        if not lo < x < hi:  # bisect, geometrically across decades
+            x = math.sqrt(lo) * math.sqrt(hi) if hi > 4.0 * lo else 0.5 * (lo + hi)
     else:
         raise NumericFailure(f"Newton did not converge near x={x!r}; zero {n} "
                              "could not be refined")
+
+    an, ad = a.as_integer_ratio()
+    for i in range(3):
+        s0, s1, prec, _ = sums = _j_sums(nu, x)
+        d = (an * s0 + 2 * ad * s1) / (ad << prec)  # D / lead, rounded once
+        j0, j1 = _sums_scaled(x, s0, s1, prec)
+        dp = _dprime_from_pair(a, nu, x, j0, j1)
+        if i == 2 or dp == 0.0:
+            break
+        x_new = x - d / dp
+        if x_new == x or not step_lo < x_new < step_hi:
+            break
+        x = x_new
 
     blo, bhi = x - 0.49 * tol, x + 0.49 * tol
     if not (0.0 < blo and bhi - blo <= tol):
         raise NumericFailure(
             f"zero {n} near x={x!r} could not be refined to a bracket of width "
             f"<= {tol:g} inside x > 0")
-    jl, jh, jx = (_j_pair(nu, v) for v in (blo, bhi, x))
-    dl, dh = _d_from_pair(a, blo, *jl), _d_from_pair(a, bhi, *jh)
-    if dl == 0.0 or dh == 0.0 or math.copysign(1.0, dl) == math.copysign(1.0, dh):
+    dl, dh = (_d_from_pair(a, v, *_j_pair_scaled(nu, v)) for v in (blo, bhi))
+    if dl == 0.0 or dh == 0.0 or _sign(dl) == _sign(dh):
         raise NumericFailure(
             f"bracket [{blo!r}, {bhi!r}] has no sign change; zero {n} could not "
             "be refined to a certified zero")
-    d, dp = _d_from_pair(a, x, *jx), _dprime_from_pair(a, nu, x, *jx)
-    scale = max(abs(a * j0) + abs(v * j1) for v, (j0, j1) in ((blo, jl), (bhi, jh), (x, jx)))
+    scale = abs(a * j0) + abs(x * j1)
+    residual = abs(_d_from_pair(a, x, *_j_pair(nu, x, sums)))  # in true units
     if abs(dp) <= 1e-8 * scale:
         raise NumericFailure(
             f"derivative vanishes at refined zero x={x!r}; zero may not be simple")
     if abs(d) > RESIDUAL_REL * scale:
         raise NumericFailure(
-            f"residual {abs(d):.3e} exceeds {RESIDUAL_REL:g} * scale at x={x!r}")
-    return ZeroEntry(n, x, blo, bhi, abs(d))
+            f"residual {residual:.3e} exceeds {RESIDUAL_REL:g} * scale at x={x!r}")
+    return ZeroEntry(n, x, blo, bhi, residual)
 
 
 def find_zeros(family: DiniFamily, count: int, tol: float = DEFAULT_TOL) -> ZeroTable:
@@ -177,7 +211,6 @@ def find_zeros(family: DiniFamily, count: int, tol: float = DEFAULT_TOL) -> Zero
         x = math.sqrt(a) * math.sqrt((nu + 1.0) / (a + 2.0))
     jx = _j_pair_scaled(nu, x)
     fx = _d_from_pair(a, x, *jx)
-    sign = lambda v: math.copysign(1.0, v)
     entries: list[ZeroEntry] = []
     while len(entries) < count:
         if x >= X_MAX:
@@ -189,10 +222,10 @@ def find_zeros(family: DiniFamily, count: int, tol: float = DEFAULT_TOL) -> Zero
             jy = _j_pair_scaled(nu, y)
             fy = _d_from_pair(a, y, *jy)
             # Two zeros: omega_n, j_{nu,n} and omega_{n+1} all lie in (x, y).
-            if not (sign(fx) == sign(fy) == sign(jx[0]) != sign(jy[0])):
+            if not (_sign(fx) == _sign(fy) == _sign(jx[0]) != _sign(jy[0])):
                 break
             y = 0.5 * (x + y)
-        if sign(fx) != sign(fy):
-            entries.append(_refine(family, len(entries) + 1, x, y, fx, tol))
+        if _sign(fx) != _sign(fy):
+            entries.append(_refine(family, len(entries) + 1, x, y, fx, jx[0], jy[0], tol))
         x, jx, fx = y, jy, fy
     return ZeroTable(family, tol, tuple(entries))

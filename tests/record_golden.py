@@ -1,8 +1,9 @@
 """Re-record tests/golden_cli.json from the current source.
 
 Runs every argv in the file through ``python -m dinicert.cli`` in a
-subprocess and rewrites the file in the same layout, so that a diff of the
-JSON lists exactly the cases whose bytes moved.  Run from anywhere:
+subprocess, rewrites the file in the same layout and prints the argv of
+each case whose bytes moved (a new case, without recorded output, counts
+as moved).  Run from anywhere:
 
     python tests/record_golden.py
 """
@@ -27,5 +28,9 @@ def record(argv: list[str]) -> dict:
 
 
 if __name__ == "__main__":
-    cases = [record(case["argv"]) for case in json.loads(GOLDEN.read_text())]
+    cases = []
+    for old in json.loads(GOLDEN.read_text()):
+        cases.append(record(old["argv"]))
+        if cases[-1] != old:
+            print("moved:", " ".join(old["argv"]))
     GOLDEN.write_text(json.dumps(cases, indent=1, ensure_ascii=False) + "\n")

@@ -7,7 +7,7 @@ import sys
 import mpmath
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from scipy import special
 
@@ -222,6 +222,27 @@ def test_ratio_at_one_against_mpmath(nu):
         v = mpmath.mpf(nu)
         ref = mpmath.besselj(v + 2, 1) / mpmath.besselj(v + 1, 1)
         assert abs(_j_ratio(nu) - ref) <= 2 * sys.float_info.epsilon * ref
+
+
+@settings(max_examples=150, derandomize=True, deadline=None)
+@given(nu=st.floats(-0.9, 40.0, exclude_min=True),
+       x=st.floats(0.0, 60.0, exclude_min=True))
+@example(nu=0.0, x=2.404825557695773)  # J_0 vanishes: r near +-1e16
+@example(nu=0.0, x=3.8317059702075125)  # J_1 vanishes: r near 0
+@example(nu=-0.9, x=60.0)
+# x nearest j_{3,2}: a denominator rounds to 0 at the last level (r = inf)
+# or, for nu = 2, one level up (r = -0.0)
+@example(nu=3.0, x=9.76102312998167)
+@example(nu=2.0, x=9.76102312998167)
+def test_ratio_against_mpmath(nu, x):
+    """J_{nu+1}(x) / J_nu(x) from the continued fraction: atan r within
+    (x + 8) eps of the 40-digit angle, modulo pi, as _j_ratio states."""
+    r = _j_ratio(nu, x, 0)
+    with mpmath.workdps(40):
+        v = mpmath.mpf(nu)
+        ref = mpmath.besselj(v + 1, x) / mpmath.besselj(v, x)
+        err = abs(mpmath.atan(r) - mpmath.atan(ref))
+        assert min(err, mpmath.pi - err) <= (x + 8) * sys.float_info.epsilon
 
 
 class TestBesselJPrime:

@@ -2,6 +2,7 @@
 
 import functools
 import math
+import random
 
 import mpmath
 import pytest
@@ -21,6 +22,7 @@ from dinicert import (
     ismail_lower_bound,
     oracle_closed_form,
 )
+from dinicert import zeros
 
 
 def bisect(f, lo, hi, tol=1e-13):
@@ -197,6 +199,16 @@ class TestFindZeros:
         with pytest.raises(DomainError):
             find_zeros(fam, 5, tol=0.0)
 
+    # omega_1 sits dozens of decades below the end of its scan step (a = 1e-100,
+    # omega_1^2 ~ 2a (nu + 1)), where Newton on D far above the root takes
+    # steps of about x / (nu + 2); rejected steps bisect geometrically, so the
+    # zero is reached, and its bracket of width tol then reaches below 0
+    @pytest.mark.parametrize("nu,x", [(-0.5, "1e-50"),
+                                      (-0.9999999999999999, "1.4901161193847656e-58")])
+    def test_zero_decades_below_the_step_end(self, nu, x):
+        with pytest.raises(NumericFailure, match=f"zero 1 near x={x} could not be refined"):
+            find_zeros(DiniFamily(1e-100, Order(nu)), 1)
+
     def test_first_zero_below_1e3(self):
         # omega_1 lies below 1e-3; the first 2.5 step holds omega_1, j_{nu,1}
         # and omega_2, so the scan must halve it
@@ -210,6 +222,14 @@ class TestFindZeros:
         # the 11th zero of D_{1,20} lies at 59.9165, inside the last step
         z = find_zeros(DiniFamily(1.0, Order(20.0)), 11).entries[10].zero
         assert ulps_off(z, mp_root_near(1.0, 20.0, 59.9165)) <= 4.0
+
+    def test_certified_where_the_pair_underflows(self):
+        # J_400(40) = 1.5e-349 underflows in true units, so the sign change
+        # and the checks run on the scaled pair and the residual reads 0.0
+        e = find_zeros(DiniFamily(2.0, Order(400.0)), 1).entries[0]
+        ref = mpmath.mpf("40.00012499668381791127234465277363410016")
+        assert e.lo < ref < e.hi and e.residual == 0.0
+        assert ulps_off(e.zero, ref) <= 0.5
 
     def test_insufficient_zeros_below_cap(self):
         # at nu = 9 the 18th zero lies beyond the x <= 60 series range
@@ -245,6 +265,35 @@ def test_zeros_interlace_over_domain(a, nu, count):
             assert changes + (s != prev) == e.n - 1 and s == (-1) ** (e.n - 1)
             assert mpmath.sign(d(e.lo)) * mpmath.sign(d(e.hi)) == -1
             assert ulps_off(e.zero, mp_root_near(a, nu, e.zero)) <= 4.0
+
+
+def test_zeros_within_1_ulp_of_mpmath(monkeypatch):
+    """Seeded tables, a log-uniform in [0.01, 30], nu in (-0.99, 30], up to 8
+    zeros: every zero within 1 ulp of the 40-digit root.  The sample must
+    hold zeros in scan steps across which J_nu changes sign, where Newton
+    starts on the pair, and in steps where it does not, where it runs on
+    the continued-fraction ratio from the start."""
+    refine, straddles = zeros._refine, []
+
+    def spy(family, n, lo, hi, flo, jlo, jhi, tol):
+        straddles.append(math.copysign(1.0, jlo) != math.copysign(1.0, jhi))
+        return refine(family, n, lo, hi, flo, jlo, jhi, tol)
+
+    monkeypatch.setattr(zeros, "_refine", spy)
+    rng = random.Random(11)
+    # Newton on D in doubles alone ends 1.90 and 1.22 ulp off omega_1 of these
+    tables = [(0.1144538781956924, 3.3842488119897736, 1), (1.0, 0.2, 12)]
+    tables += [(math.exp(rng.uniform(math.log(0.01), math.log(30.0))),
+                rng.uniform(-0.99, 30.0), rng.randint(1, 8)) for _ in range(30)]
+    for a, nu, count in tables:
+        try:
+            table = find_zeros(DiniFamily(a, Order(nu)), count)
+        except NumericFailure as exc:
+            assert "sign changes of D_" in str(exc)
+            continue
+        for e in table.entries:
+            assert ulps_off(e.zero, mp_root_near(a, nu, e.zero)) <= 1.0, (a, nu, e.n)
+    assert 10 <= sum(straddles) <= len(straddles) - 10
 
 
 class TestSmallestZero:
