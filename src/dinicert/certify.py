@@ -164,7 +164,7 @@ def certify(family: DiniFamily, zero_count: int = 12) -> CertReport:
                           grid, zero_at_unit_radius=True)
 
     a, nu = family.a, family.nu
-    if a * (2.0 * nu + 2.0 - _j_ratio(nu)) - 1.0 <= 0.0:
+    if a * (2.0 * nu + 2.0 - _j_ratio(nu)[1]) - 1.0 <= 0.0:
         omega1 = find_zeros(family, 1).entries[0].zero
         return CertReport(family, VERDICT_INAPPLICABLE, None,
                           omega1 - 1.0, None, grid)

@@ -3,8 +3,7 @@
 The closed form comes from the Mittag-Leffler expansion of the
 logarithmic derivative of D_{a,nu}, evaluated at 1:
 
-    S = -1/2 * [(2 nu^2 - a nu - 1) J_nu(1) + (a - 2 nu) J'_nu(1)]
-              / [(a - nu) J_nu(1) + J'_nu(1)]
+    S = [J_nu(1) + (a - 2 nu) J_{nu+1}(1)] / [2 (a J_nu(1) - J_{nu+1}(1))]
 
 The truncated route sums 1/(omega_n^2 - 1) over a certified zero table
 and attaches a rigorous tail bound by integral comparison.  The critical
@@ -66,15 +65,13 @@ def sum_closed(family: DiniFamily) -> float:
     """
     a, nu = family.a, family.nu
     j0, j1 = _j_pair(nu, 1.0)
-    jp = nu * j0 - j1  # J'_nu(1)
-    den = a * j0 - j1  # (a - nu) J_nu(1) + J'_nu(1) = D_{a,nu}(1)
+    den = a * j0 - j1  # D_{a,nu}(1)
     scale = abs(a * j0) + abs(j1)
     if abs(den) <= POLE_REL * scale:
         raise PoleError(
             f"D_(a={a:g},nu={nu:g})(1) vanishes within {POLE_REL:g} of scale; "
             "a Dini zero lies at radius 1")
-    num = (2.0 * nu * nu - a * nu - 1.0) * j0 + (a - 2.0 * nu) * jp
-    return -0.5 * num / den
+    return (j0 + (a - 2.0 * nu) * j1) / (2.0 * den)
 
 
 def _tail_bound_from(x0: float, spacing: float) -> float:
@@ -165,7 +162,7 @@ def critical_order(a: float, tol: float = 1e-10) -> CriticalOrder:
     if not 0.0 < tol <= 1e-2:
         raise DomainError("tol must lie in (0, 1e-2]")
 
-    fixed = lambda v: (4.0 / a - 3.0 + (2.0 - 1.0 / a) * _j_ratio(v)) * 0.25
+    fixed = lambda v: (4.0 / a - 3.0 + (2.0 - 1.0 / a) * _j_ratio(v)[1]) * 0.25
     nu0 = max(-0.99, 1.0 / a - 0.875)
     phi0 = fixed(nu0) - nu0
     root = nu0 + phi0

@@ -16,19 +16,24 @@ J_nu changes sign and sign D = sign J_nu (a - y > 0) at its left end; such a
 step is halved.  The scan starts at half the square root of the Ismail bound,
 below omega_1, where D > 0 and J_nu > 0; its last step ends at x = 60.
 
+The scan and Newton take D up to a positive factor from ``_j_ratio``'s
+(s, s r) = (J_nu, J_{nu+1}) / |J_nu|.  Its s = sign J_nu errs only within
+rounding of a zero of J_nu, where r flips with it and keeps sign D right (at
+2,100 doubles within 3 ulp of such zeros s erred at 50, sign D at none of
+6,300 checks, a in {0.01, 1, 100}); so the halving rule can miss only a Dini
+zero within about (x + 8) eps of j_{nu,k}, which needs a >~ 1e14, far above
+the 2.8e6 past which the certificate fails.  For a subnormal a, which a - x r
+cannot resolve, Newton takes ``_j_pair_scaled``: else a = 5e-324,
+nu = -0.9999999999999999 fails at x = 2.85e-170, not omega_1 = 3.3e-170.
+
 Refinement.  Bracket-safeguarded Newton from the middle of the scan step runs
 until its step or the bracket is one ulp of x; a rejected step bisects,
-geometrically across more than a factor 4.  The step D / D' needs the pair
-only up to a positive factor: where J_nu keeps one sign across the bracket it
-is (J_nu, J_{nu+1}) / |J_nu| = sign J_nu (1, r), r from the continued fraction
-``_j_ratio`` in doubles; before that, in a step that straddles a zero of J_nu
-(usually for one iterate), and for a subnormal a, which a - x r cannot
-resolve, it is ``_j_pair_scaled``.  The finish takes the fixed-point sums once
-at x, where D / lead = (an s0 + 2 ad s1) / (ad 2^prec) for a = an / ad is
-rounded only once, and takes up to two Newton steps on it that move x, bounded
-by the scan step, not by the Newton bracket, whose ends took the sign of D
-from rounded values.  Against 40-digit mpmath the worst of 1,690 zeros (200
-random tables and the zero-tables benchmark inputs) is 0.4998 ulp.
+geometrically across more than a factor 4.  The finish takes the fixed-point
+sums once at x, where D / lead = (an s0 + 2 ad s1) / (ad 2^prec) for
+a = an / ad is rounded only once, and takes up to two Newton steps on it that
+move x, bounded by the scan step, not by the Newton bracket, whose ends took
+the sign of D from rounded values.  Against 40-digit mpmath the worst of 1,690
+zeros (200 random tables and the zero-tables benchmark inputs) is 0.4998 ulp.
 
 Certificate.  The bracket [x - 0.49 tol, x + 0.49 tol] must round to width
 <= tol inside x > 0, D must change sign across it, and at x |D'| > 1e-8 scale
@@ -129,25 +134,17 @@ def ismail_lower_bound(family: DiniFamily) -> float:
 
 
 def _refine(family: DiniFamily, n: int, lo: float, hi: float, flo: float,
-            jlo: float, jhi: float, tol: float) -> ZeroEntry:
-    """Zero number n in the scan step (lo, hi), where D is flo at lo and J_nu
-    is jlo and jhi up to positive factors, refined and certified as the
-    module docstring describes."""
+            tol: float) -> ZeroEntry:
+    """Zero number n in the scan step (lo, hi), where D is flo at lo, refined
+    and certified as the module docstring describes."""
     a, nu = family.a, family.nu
     slo, step_lo, step_hi = _sign(flo), lo, hi
-    sj_lo, sj_hi = _sign(jlo), _sign(jhi)
     by_pair = a < sys.float_info.min  # a - x r ~ a near the zero
     x = 0.5 * (lo + hi)
     for _ in range(100):
-        if by_pair or sj_lo != sj_hi:
-            j0, j1 = _j_pair_scaled(nu, x)
-        else:  # J_nu has the sign sj_lo on (lo, hi): the pair over |J_nu|
-            j0, j1 = sj_lo, sj_lo * _j_ratio(nu, x, 0)
+        j0, j1 = _j_pair_scaled(nu, x) if by_pair else _j_ratio(nu, x, 0)
         d, dp = _d_from_pair(a, x, j0, j1), _dprime_from_pair(a, nu, x, j0, j1)
-        if _sign(d) == slo:
-            lo, sj_lo = x, _sign(j0)
-        else:
-            hi, sj_hi = x, _sign(j0)
+        lo, hi = (x, hi) if _sign(d) == slo else (lo, x)
         step = d / dp if dp != 0.0 else math.inf
         # Tested before the safeguard, which would bisect on a converged
         # step that rounds x - step onto the endpoint x has just become.
@@ -166,10 +163,8 @@ def _refine(family: DiniFamily, n: int, lo: float, hi: float, flo: float,
         d = (an * s0 + 2 * ad * s1) / (ad << prec)  # D / lead, rounded once
         j0, j1 = _sums_scaled(x, s0, s1, prec)
         dp = _dprime_from_pair(a, nu, x, j0, j1)
-        if i == 2 or dp == 0.0:
-            break
-        x_new = x - d / dp
-        if x_new == x or not step_lo < x_new < step_hi:
+        x_new = x - d / dp if dp != 0.0 else x
+        if i == 2 or x_new == x or not step_lo < x_new < step_hi:
             break
         x = x_new
 
@@ -209,8 +204,7 @@ def find_zeros(family: DiniFamily, count: int, tol: float = DEFAULT_TOL) -> Zero
     x = 0.5 * math.sqrt(ismail_lower_bound(family))
     if x == 0.0:  # 4a(nu + 1) underflowed; the same start from factors that do not
         x = math.sqrt(a) * math.sqrt((nu + 1.0) / (a + 2.0))
-    jx = _j_pair_scaled(nu, x)
-    fx = _d_from_pair(a, x, *jx)
+    fx = _d_from_pair(a, x, *(jx := _j_ratio(nu, x, 0)))
     entries: list[ZeroEntry] = []
     while len(entries) < count:
         if x >= X_MAX:
@@ -219,13 +213,12 @@ def find_zeros(family: DiniFamily, count: int, tol: float = DEFAULT_TOL) -> Zero
                 f"below x={X_MAX:g}, needed {count}")
         y = min(x + SCAN_STEP, X_MAX)
         while True:
-            jy = _j_pair_scaled(nu, y)
-            fy = _d_from_pair(a, y, *jy)
+            fy = _d_from_pair(a, y, *(jy := _j_ratio(nu, y, 0)))
             # Two zeros: omega_n, j_{nu,n} and omega_{n+1} all lie in (x, y).
-            if not (_sign(fx) == _sign(fy) == _sign(jx[0]) != _sign(jy[0])):
+            if not (_sign(fx) == _sign(fy) == jx[0] != jy[0]):  # jx[0] = sign J_nu
                 break
             y = 0.5 * (x + y)
         if _sign(fx) != _sign(fy):
-            entries.append(_refine(family, len(entries) + 1, x, y, fx, jx[0], jy[0], tol))
+            entries.append(_refine(family, len(entries) + 1, x, y, fx, tol))
         x, jx, fx = y, jy, fy
     return ZeroTable(family, tol, tuple(entries))

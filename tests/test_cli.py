@@ -4,6 +4,7 @@ import io
 import contextlib
 import json
 import math
+import os
 import pathlib
 import subprocess
 import sys
@@ -15,6 +16,7 @@ from dinicert import (DiniFamily, certify, cli, critical_order,
                       evaluate_criterion, find_zeros, selftest)
 
 GOLDEN = json.loads(pathlib.Path(__file__).with_name("golden_cli.json").read_text())
+SRC = pathlib.Path(__file__).resolve().parents[1] / "src"
 
 
 def run_inproc(argv):
@@ -25,8 +27,10 @@ def run_inproc(argv):
 
 
 def run_subproc(argv):
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (str(SRC), os.environ.get("PYTHONPATH")) if p))
     return subprocess.run([sys.executable, "-m", "dinicert.cli", *argv],
-                          capture_output=True, text=True)
+                          capture_output=True, text=True, env=env)
 
 
 class TestExitCodes:

@@ -23,6 +23,7 @@ from dinicert import (
     oracle_closed_form,
 )
 from dinicert import zeros
+from dinicert.bessel import _j_pair_scaled
 
 
 def bisect(f, lo, hi, tol=1e-13):
@@ -270,14 +271,15 @@ def test_zeros_interlace_over_domain(a, nu, count):
 def test_zeros_within_1_ulp_of_mpmath(monkeypatch):
     """Seeded tables, a log-uniform in [0.01, 30], nu in (-0.99, 30], up to 8
     zeros: every zero within 1 ulp of the 40-digit root.  The sample must
-    hold zeros in scan steps across which J_nu changes sign, where Newton
-    starts on the pair, and in steps where it does not, where it runs on
-    the continued-fraction ratio from the start."""
+    hold zeros in scan steps across which J_nu changes sign, where the sign
+    that the continued fraction carries flips inside the Newton bracket, and
+    in steps where it does not."""
     refine, straddles = zeros._refine, []
 
-    def spy(family, n, lo, hi, flo, jlo, jhi, tol):
+    def spy(family, n, lo, hi, flo, tol):
+        jlo, jhi = (_j_pair_scaled(family.nu, v)[0] for v in (lo, hi))
         straddles.append(math.copysign(1.0, jlo) != math.copysign(1.0, jhi))
-        return refine(family, n, lo, hi, flo, jlo, jhi, tol)
+        return refine(family, n, lo, hi, flo, tol)
 
     monkeypatch.setattr(zeros, "_refine", spy)
     rng = random.Random(11)
