@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -80,6 +81,16 @@ def _disk_grid(radii, thetas) -> np.ndarray:
     return r[:, None] * np.exp(1j * t[None, :])
 
 
+@lru_cache(maxsize=4)
+def _polar_grid(radii: tuple[float, ...], m: int) -> np.ndarray:
+    """starlike_sample's grid, built once per (radii, m) and read-only, as
+    every caller shares it.  For an even m only theta in [0, pi]."""
+    count = m // 2 + 1 if m % 2 == 0 else m
+    z = _disk_grid(radii, [2.0 * math.pi * j / m for j in range(count)])
+    z.flags.writeable = False
+    return z
+
+
 def starlike_sample(family: DiniFamily, radii, angles_count: int) -> float:
     """Minimum of Re(z w'(z) / w(z)) over the polar grid.
 
@@ -87,17 +98,13 @@ def starlike_sample(family: DiniFamily, radii, angles_count: int) -> float:
     theta -> -theta; for an even angle count only theta in [0, pi] is
     evaluated, which covers the full grid's minimum exactly.
     """
-    radii = [float(r) for r in radii]
+    radii = tuple(float(r) for r in radii)
     if not radii or min(radii) <= 0.0 or max(radii) >= 1.0:
         raise DomainError("radii must be a nonempty list inside (0, 1)")
     m = int(angles_count)
     if m < 4:
         raise DomainError("angles_count must be at least 4")
-    if m % 2 == 0:
-        thetas = [2.0 * math.pi * j / m for j in range(m // 2 + 1)]
-    else:
-        thetas = [2.0 * math.pi * j / m for j in range(m)]
-    z = _disk_grid(radii, thetas)
+    z = _polar_grid(radii, m)
     w = _w_sum(family.a, family.nu, z, derivative=False)
     wp = _w_sum(family.a, family.nu, z, derivative=True)
     wabs = np.abs(w)

@@ -22,7 +22,8 @@ from dinicert import (
     w_eval,
     w_prime_eval,
 )
-from dinicert.bessel import _j_pair, _j_pair_scaled, _j_ratio
+from dinicert.bessel import _j_pair, _j_pair_scaled, _j_ratio, _w_sum
+from dinicert.certify import _polar_grid, default_radii
 
 
 def j_brute(nu, x, terms=60):
@@ -364,6 +365,14 @@ class TestWSeries:
         with pytest.raises(DomainError):
             w_eval(DiniFamily(1.0, Order(0.5)), 1.5)
 
+    @pytest.mark.parametrize("z", [complex("nan"), complex(0.5, float("nan")),
+                                   complex("inf"), np.array([0.5, complex("nan")])])
+    def test_non_finite_rejected(self, z):
+        # NaN fails every comparison with the radius: rejected, not summed
+        # for 400 terms into a convergence failure.
+        with pytest.raises(DomainError):
+            w_eval(DiniFamily(1.0, Order(0.5)), z)
+
     def test_array_input(self):
         fam = DiniFamily(1.0, Order(0.5))
         zs = np.array([0.1, 0.5 + 0.2j, -0.9])
@@ -371,6 +380,73 @@ class TestWSeries:
         assert out.shape == zs.shape
         for k, z in enumerate(zs):
             assert out[k] == pytest.approx(w_eval(fam, complex(z)), rel=1e-15)
+
+
+def w_sum_reference(a, nu, zz, derivative):
+    """The w series with both stop-test maxima taken over every point: the
+    reference whose bits _w_sum must reproduce."""
+    t = np.ones_like(zz) if derivative else zz.copy()
+    s = t.copy()
+    n = 0
+    small = 0
+    while small < 2:
+        f = -(2 * n + 2 + a) / ((2 * n + a) * 4.0 * (n + 1) * (nu + n + 1))
+        if derivative:
+            f *= (n + 2) / (n + 1)
+        t = t * (f * zz)
+        s = s + t
+        tmax = float(np.max(np.abs(t)))
+        smax = float(np.max(np.abs(s)))
+        if tmax < 1e-16 * (1.0 + smax):
+            small += 1
+        else:
+            small = 0
+        n += 1
+        if n > 400:
+            raise AssertionError("reference series did not converge")
+    return s
+
+
+def _circle(n):
+    return np.exp(2j * np.pi * np.arange(n) / n)
+
+
+# starlike_sample's grids (64 x 361, an odd angle count, radii decreasing),
+# unit circles (20,000 points is past numpy's 256 KiB temporary-elision size)
+# and 0-d scalars.
+W_SUM_INPUTS = {
+    "default_grid": lambda: _polar_grid(tuple(default_radii()), 720),
+    "odd_angles": lambda: _polar_grid(tuple(default_radii(16)), 63),
+    "radii_decreasing": lambda: _polar_grid(tuple(reversed(default_radii(16))), 64),
+    "circle_4": lambda: _circle(4),
+    "circle_64": lambda: _circle(64),
+    "circle_20000": lambda: _circle(20000),
+    "scalar": lambda: np.asarray(0.3 + 0.4j),
+    "scalar_rim": lambda: np.asarray(-1.0 + 0j),
+}
+
+
+@pytest.mark.parametrize("name", W_SUM_INPUTS)
+@settings(max_examples=12, derandomize=True, deadline=None)
+@given(log_a=st.floats(-2.0, 2.0), nu=st.floats(-0.99, 60.0, exclude_min=True))
+def test_w_sum_bit_identical_to_reference(name, log_a, nu):
+    """The rim stop test stops at the reference's term, so w and w' are
+    equal bit for bit on every input shape."""
+    a, zz = 10.0 ** log_a, W_SUM_INPUTS[name]()
+    for derivative in (False, True):
+        assert np.array_equal(_w_sum(a, nu, zz, derivative),
+                              w_sum_reference(a, nu, zz, derivative))
+
+
+@pytest.mark.parametrize("a, nu, z0", [(1.0, -0.5, 0.740173884394967),
+                                       (0.7, -0.3, 0.8062230035949673)])
+def test_w_sum_zero_on_rim(a, nu, z0):
+    """z0 = omega_1^2 puts a zero of w on the rim, so the rim's max |s| is
+    small against |w(-0.99 z0)|, off the rim.  A last term then falls between
+    the thresholds of the rim's max |s| and of the full max, where only the
+    full max stops the series where the reference does."""
+    zz = np.array([z0, -0.99 * z0, 0.5 * z0])
+    assert np.array_equal(_w_sum(a, nu, zz, False), w_sum_reference(a, nu, zz, False))
 
 
 class TestClosedFormOracles:

@@ -20,6 +20,7 @@ from dinicert import (
     starlike_sample,
     w_eval,
 )
+from dinicert.certify import _polar_grid, default_radii
 
 NU_POLE_A1 = -0.3400924939228838
 
@@ -132,6 +133,23 @@ class TestStarlikeSample:
             starlike_sample(fam(1.0, 0.5), [1.0], 16)
         with pytest.raises(DomainError):
             starlike_sample(fam(1.0, 0.5), [0.5], 2)
+
+    def test_cached_grid_is_read_only(self):
+        z = _polar_grid(tuple(default_radii()), 720)
+        assert z.shape == (64, 361)
+        assert not z.flags.writeable
+        with pytest.raises(ValueError):
+            z[0, 0] = 0.5
+
+    def test_grid_follows_mutated_radii(self):
+        f = fam(1.3, 0.4)
+        radii = [0.2, 0.5, 0.9]
+        first = starlike_sample(f, radii, 16)
+        radii[-1] = 0.95
+        again = starlike_sample(f, radii, 16)
+        _polar_grid.cache_clear()
+        assert again == starlike_sample(f, list(radii), 16)
+        assert again != first
 
     def test_grid_fault_on_interior_zero(self):
         f = fam(1.0, -0.5)  # first w zero at omega_1^2 ~ 0.74, inside the disk
