@@ -23,10 +23,10 @@ from functools import lru_cache
 import numpy as np
 
 from .bessel import _j_ratio, _w_sum
-from .criterion import BOUNDARY_BAND, SumCriterion, evaluate_criterion, sum_closed
+from .criterion import BOUNDARY_BAND, SumCriterion, _check_n_terms, evaluate_criterion, sum_closed
 from .errors import DomainError, NumericFailure, PoleError
 from .families import DiniFamily
-from .zeros import ZeroTable, find_zeros
+from .zeros import ZeroTable, find_zeros, ismail_lower_bound
 
 GRID_RADII = 64
 GRID_ANGLES = 720
@@ -75,18 +75,14 @@ def default_radii(count: int = GRID_RADII, max_radius: float = GRID_MAX_RADIUS) 
     return [max_radius * (k + 1) / count for k in range(count)]
 
 
-def _disk_grid(radii, thetas) -> np.ndarray:
-    r = np.asarray(radii, dtype=float)
-    t = np.asarray(thetas, dtype=float)
-    return r[:, None] * np.exp(1j * t[None, :])
-
-
 @lru_cache(maxsize=4)
 def _polar_grid(radii: tuple[float, ...], m: int) -> np.ndarray:
-    """starlike_sample's grid, built once per (radii, m) and read-only, as
-    every caller shares it.  For an even m only theta in [0, pi]."""
+    """The disk checks' polar grid r e^(2 pi i j / m), built once per
+    (radii, m) and read-only, as every caller shares it.  For an even m only
+    theta in [0, pi]; an odd m samples the full circle."""
     count = m // 2 + 1 if m % 2 == 0 else m
-    z = _disk_grid(radii, [2.0 * math.pi * j / m for j in range(count)])
+    t = np.array([2.0 * math.pi * j / m for j in range(count)])
+    z = np.asarray(radii, dtype=float)[:, None] * np.exp(1j * t[None, :])
     z.flags.writeable = False
     return z
 
@@ -122,25 +118,23 @@ def factorization_check(family: DiniFamily, n_zeros: int = 18,
                         table: ZeroTable | None = None) -> FactorizationCheck:
     """Compare the w series against z * prod_{n<=N} (1 - z / omega_n^2).
 
-    The deviation must stay below the first-order truncation envelope
-    C * |z|_max * sum_{n>N} 1/omega_n^2, where C is the max modulus of
-    the partial product on the grid and the tail sum is bounded through
-    the observed zero spacing (capped at pi) by integral comparison.
+    They differ by the factor prod_{n>N} (1 - z/omega_n^2), within
+    expm1(|z| (T - P_N)) of 1, where T - P_N = sum_{n>N} 1/omega_n^2 exactly
+    (T and P_N as in ``sum_truncated``).  So the deviation must stay below
+    C expm1(|z|_max (T - P_N)), C the max modulus of the partial product on
+    ``_polar_grid``; the first-order C |z|_max (T - P_N) would not hold.
     """
     if not 0.0 < max_radius < 1.0:
         raise DomainError("max_radius must lie in (0, 1)")
     if table is None or len(table) < n_zeros:
         table = find_zeros(family, n_zeros)
     zs = np.array(table.zeros[:n_zeros])
-    radii = [max_radius * (k + 1) / n_radii for k in range(n_radii)]
-    thetas = [2.0 * math.pi * j / n_angles for j in range(n_angles // 2 + 1)]
-    z = _disk_grid(radii, thetas)
+    z = _polar_grid(tuple(default_radii(n_radii, max_radius)), n_angles)
     w = _w_sum(family.a, family.nu, z, derivative=False)
     prod = z * np.prod(1.0 - z[..., None] / (zs * zs), axis=-1)
     deviation = float(np.max(np.abs(w - prod)))
-    spacing = table.tail_spacing()
-    tail_sum = 1.0 / (spacing * zs[-1])  # >= sum_{n>N} 1/omega_n^2
-    envelope = float(np.max(np.abs(prod))) * max_radius * tail_sum
+    tail_sum = 1.0 / ismail_lower_bound(family) - math.fsum(1.0 / (zs * zs))
+    envelope = float(np.max(np.abs(prod))) * math.expm1(max_radius * tail_sum)
     return FactorizationCheck(n_zeros, deviation, envelope)
 
 
@@ -158,6 +152,7 @@ def certify(family: DiniFamily, zero_count: int = 12) -> CertReport:
     D(1) <= 0.  The recurrence gives D(1) = J_{nu+1}(1) Delta, J_{nu+1}(1) > 0,
     Delta = a (2 nu + 2 - rho) - 1, rho = J_{nu+2}(1) / J_{nu+1}(1): Delta decides.
     """
+    zero_count = _check_n_terms(zero_count)
     grid = GridSpec(GRID_RADII, GRID_ANGLES, GRID_MAX_RADIUS)
 
     # A Dini zero numerically at radius 1 makes the criterion ill-posed;
@@ -176,7 +171,7 @@ def certify(family: DiniFamily, zero_count: int = 12) -> CertReport:
         return CertReport(family, VERDICT_INAPPLICABLE, None,
                           omega1 - 1.0, None, grid)
 
-    table = find_zeros(family, max(zero_count, 2))
+    table = find_zeros(family, max(zero_count, 1))
     margin = table.entries[0].zero - 1.0
 
     crit = evaluate_criterion(family, n_terms=zero_count, table=table)

@@ -6,9 +6,10 @@ logarithmic derivative of D_{a,nu}, evaluated at 1:
     S = [J_nu(1) + (a - 2 nu) J_{nu+1}(1)] / [2 (a J_nu(1) - J_{nu+1}(1))]
 
 The truncated route sums 1/(omega_n^2 - 1) over a certified zero table
-and attaches a rigorous tail bound by integral comparison.  The critical
-order nu_a is the root of (2a-1) J_nu(1) - (a - 2 nu + 2) J_{nu+1}(1),
-the threshold at which S = 1.
+and bounds the tail by the exact identity T = sum 1/omega_n^2 =
+(a + 2)/(4a(nu + 1)), the z^2 coefficient of w = z prod(1 - z/omega_n^2);
+no zero spacing is assumed.  The critical order nu_a is the root of
+(2a-1) J_nu(1) - (a - 2 nu + 2) J_{nu+1}(1), the threshold at which S = 1.
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ from dataclasses import dataclass
 from .bessel import _j_pair, _j_ratio
 from .errors import DomainError, NumericFailure, PoleError
 from .families import DiniFamily, _as_a, _as_nu
-from .zeros import MAX_ZEROS, ZeroTable, find_zeros
+from .zeros import MAX_ZEROS, ZeroTable, find_zeros, ismail_lower_bound
 
 POLE_REL = 1e-10
 BOUNDARY_BAND = 1e-9
@@ -57,14 +58,7 @@ class CriticalOrder:
     sum_at_root: float
 
 
-def sum_closed(family: DiniFamily) -> float:
-    """Closed-form value of S(a,nu) = sum over n of 1/(omega_n^2 - 1).
-
-    Raises PoleError when D_{a,nu}(1) is numerically zero, i.e. some
-    Dini zero sits at 1 and the criterion is ill-posed.
-    """
-    a, nu = family.a, family.nu
-    j0, j1 = _j_pair(nu, 1.0)
+def _sum_from_pair(a: float, nu: float, j0: float, j1: float) -> float:
     den = a * j0 - j1  # D_{a,nu}(1)
     scale = abs(a * j0) + abs(j1)
     if abs(den) <= POLE_REL * scale:
@@ -74,9 +68,20 @@ def sum_closed(family: DiniFamily) -> float:
     return (j0 + (a - 2.0 * nu) * j1) / (2.0 * den)
 
 
-def _tail_bound_from(x0: float, spacing: float) -> float:
-    # sum_{k>=1} 1/((x0 + k s)^2 - 1) <= (1/s) * int_x0^inf dt/(t^2-1)
-    return math.log((x0 + 1.0) / (x0 - 1.0)) / (2.0 * spacing)
+def sum_closed(family: DiniFamily) -> float:
+    """Closed-form value of S(a,nu) = sum over n of 1/(omega_n^2 - 1).
+
+    Raises PoleError when D_{a,nu}(1) is numerically zero, i.e. some
+    Dini zero sits at 1 and the criterion is ill-posed.
+    """
+    return _sum_from_pair(family.a, family.nu, *_j_pair(family.nu, 1.0))
+
+
+def _check_n_terms(n_terms: int) -> int:
+    n_terms = int(n_terms)
+    if not 0 <= n_terms <= MAX_ZEROS:
+        raise DomainError(f"n_terms must lie in [0, {MAX_ZEROS}]")
+    return n_terms
 
 
 def _truncated_from_table(table: ZeroTable, n_terms: int) -> tuple[float, float]:
@@ -84,56 +89,53 @@ def _truncated_from_table(table: ZeroTable, n_terms: int) -> tuple[float, float]
     if zs[0] <= 1.0:
         raise NumericFailure(
             "smallest zero does not exceed 1; truncated criterion inapplicable")
-    spacing = table.tail_spacing()
-    if n_terms == 0:
-        # Bound the whole sum from the first computed zero.
-        return 0.0, 1.0 / (zs[0] ** 2 - 1.0) + _tail_bound_from(zs[0], spacing)
     value = math.fsum(1.0 / (z * z - 1.0) for z in zs[:n_terms])
-    return value, _tail_bound_from(zs[n_terms - 1], spacing)
+    p = math.fsum(1.0 / (z * z) for z in zs[:n_terms])
+    m = zs[max(n_terms, 1) - 1] ** 2
+    return value, (1.0 / ismail_lower_bound(table.family) - p) * m / (m - 1.0)
 
 
 def sum_truncated(family: DiniFamily, n_terms: int) -> tuple[float, float]:
     """Partial sum over the first n_terms zeros plus a rigorous tail bound.
 
-    The bound assumes the zeros keep the spacing observed over the
-    computed table (capped at pi, which McMahon asymptotics approach),
-    then compares with the integral of 1/(t^2 - 1).
+    The z^2 coefficient of w = z prod(1 - z/omega_n^2) gives T = sum_n
+    1/omega_n^2 = (a + 2)/(4a(nu + 1)) exactly.  For n > N, omega_n >= omega_M,
+    M = max(N, 1), and t/(t - 1) decreases, so with P_N = sum_{n<=N}
+    1/omega_n^2 and m = omega_M^2 the tail is at most (T - P_N) m/(m - 1).
+    It reads the first M zeros and assumes no spacing.  Rounding (about 1e-13
+    relative in T - P_N) needs no guard: for n >= M + 2 interlacing puts
+    omega_n above j_{nu,M+1} > omega_M + 2.99 (the Sturm spacing in ``zeros``),
+    so each such term lies below its share of the bound by a relative
+    1/m - 1/omega_n^2 > 2.5e-5, as omega_M <= 60.
     """
-    n_terms = int(n_terms)
-    if not 0 <= n_terms <= MAX_ZEROS:
-        raise DomainError(f"n_terms must lie in [0, {MAX_ZEROS}]")
-    table = find_zeros(family, max(n_terms, 2))
-    return _truncated_from_table(table, n_terms)
+    n_terms = _check_n_terms(n_terms)
+    return _truncated_from_table(find_zeros(family, max(n_terms, 1)), n_terms)
 
 
 def evaluate_criterion(family: DiniFamily, n_terms: int = 12,
                        table: ZeroTable | None = None) -> SumCriterion:
     """Assemble the closed and truncated routes into one SumCriterion.
 
-    A precomputed zero table of length >= max(n_terms, 2) may be passed
+    A precomputed zero table of length >= max(n_terms, 1) may be passed
     to avoid recomputing zeros; the truncated fields are None when the
     first zero does not exceed 1.
     """
+    n_terms = _check_n_terms(n_terms)
     closed = sum_closed(family)
     try:
-        if table is not None and len(table) >= max(n_terms, 2):
-            value, tail = _truncated_from_table(table, n_terms)
-        else:
-            value, tail = sum_truncated(family, n_terms)
+        if table is None or len(table) < max(n_terms, 1):
+            table = find_zeros(family, max(n_terms, 1))
+        value, tail = _truncated_from_table(table, n_terms)
     except NumericFailure:
         value, tail = None, None
     return SumCriterion(family, closed, value, n_terms, tail, 1.0 - closed)
 
 
-def _g_terms(a: float, nu: float) -> tuple[float, float]:
-    j0, j1 = _j_pair(nu, 1.0)
-    return (2.0 * a - 1.0) * j0, (a - 2.0 * nu + 2.0) * j1
-
-
 def critical_equation(a: float, nu: float) -> float:
     """g(nu) = (2a - 1) J_nu(1) - (a - 2 nu + 2) J_{nu+1}(1)."""
-    p, q = _g_terms(a, _as_nu(nu))
-    return p - q
+    nu = _as_nu(nu)
+    j0, j1 = _j_pair(nu, 1.0)
+    return (2.0 * a - 1.0) * j0 - (a - 2.0 * nu + 2.0) * j1
 
 
 def critical_order(a: float, tol: float = 1e-10) -> CriticalOrder:
@@ -154,9 +156,10 @@ def critical_order(a: float, tol: float = 1e-10) -> CriticalOrder:
 
     Secant on F(nu) - nu from max(-0.99, 1/a - 7/8) and F of it, until a step
     is below half an ulp of |nu| + 1 (at most 7 rho for a in [0.01, 1e6]).
-    Certified as a zero is: g, in its J-pair form, changes sign across
-    [nu_a -+ 0.49 tol], which must round to width <= tol; |g(nu_a)| <= 1e-12
-    times the sum of its terms' moduli; and |S(a, nu_a) - 1| <= 1e-8."""
+    Certified as a zero is: the secant's own F(nu) - nu = -h / (4a), which
+    has the sign of -g, changes sign across [nu_a -+ 0.49 tol], which must
+    round to width <= tol; and from one J pair at nu_a, |g(nu_a)| <= 1e-12
+    times the sum of its terms' moduli and |S(a, nu_a) - 1| <= 1e-8."""
     a = _as_a(a)
     tol = float(tol)
     if not 0.0 < tol <= 1e-2:
@@ -182,19 +185,21 @@ def critical_order(a: float, tol: float = 1e-10) -> CriticalOrder:
             f"no sign change of the critical equation on [{lo_w:g}, {hi_w:g}] for a={a:g}")
 
     lo, hi = root - 0.49 * tol, root + 0.49 * tol
-    glo, ghi = critical_equation(a, lo), critical_equation(a, hi)
-    if not hi - lo <= tol or glo == 0.0 or ghi == 0.0 or (
-            math.copysign(1.0, glo) == math.copysign(1.0, ghi)):
+    phi_lo, phi_hi = fixed(lo) - lo, fixed(hi) - hi
+    if not hi - lo <= tol or phi_lo == 0.0 or phi_hi == 0.0 or (
+            math.copysign(1.0, phi_lo) == math.copysign(1.0, phi_hi)):
         raise NumericFailure(
             f"critical equation does not change sign across [{lo!r}, {hi!r}] "
             f"(width <= {tol:g} required) for a={a:g}")
-    p, q = _g_terms(a, root)
+    j0, j1 = _j_pair(root, 1.0)
+    p, q = (2.0 * a - 1.0) * j0, (a - 2.0 * root + 2.0) * j1
     residual = abs(p - q)
-    if residual > 1e-12 * (abs(p) + abs(q)):
+    # (2a - 1) J_nu(1) overflows for a above 9e307, where phi still changes sign
+    if not residual <= 1e-12 * (abs(p) + abs(q)) < math.inf:
         raise NumericFailure(
             f"critical equation residual {residual:.3e} above 1e-12 * scale for a={a:g}")
 
-    s_root = sum_closed(DiniFamily(a, root))
+    s_root = _sum_from_pair(a, root, j0, j1)
     if abs(s_root - 1.0) > SUM_CROSS_CHECK_TOL:
         raise NumericFailure(
             f"sum criterion at nu_a deviates from 1 by {abs(s_root - 1.0):.3e} "

@@ -200,8 +200,8 @@ def _check_factorization(ctx):
     for a, nu in ((1.0, 0.5), (2.0, 0.5), (1.0, 1.5), (2.0, 1.0)):
         fc = factorization_check(_fam(a, nu), n_zeros=18)
         ok = ok and fc.within_envelope
-        msgs.append(f"(a={a:g},nu={nu:g}): dev {fc.max_deviation:.2e} "
-                    f"<= env {fc.envelope:.2e}")
+        msgs.append(f"(a={a:g},nu={nu:g}): dev {fc.max_deviation:.4e} "
+                    f"<= env {fc.envelope:.4e}")
     return ok, "; ".join(msgs)
 
 

@@ -87,13 +87,6 @@ class ZeroTable:
     def __len__(self) -> int:
         return len(self.entries)
 
-    def tail_spacing(self) -> float:
-        """Zero spacing assumed beyond the table by the tail bounds: the
-        observed minimum, capped at pi (the McMahon asymptotic spacing);
-        pi for fewer than two zeros."""
-        zs = self.zeros
-        return min([math.pi] + [b - a for a, b in zip(zs, zs[1:])])
-
 
 def _sign(v: float) -> float:
     return math.copysign(1.0, v)

@@ -1,9 +1,11 @@
 """Certification verdicts, disk sampling, and factorization validation."""
 
 import cmath
+import importlib
 import math
 
 import mpmath
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -80,6 +82,17 @@ class TestVerdicts:
 
     def test_deterministic_reports(self):
         assert certify(fam(2.0, 0.7)) == certify(fam(2.0, 0.7))
+
+    @pytest.mark.parametrize("n", [-5, -1, 19])
+    @pytest.mark.parametrize("nu", [0.5, -0.5, NU_POLE_A1])
+    def test_zero_count_validated_before_any_zero(self, monkeypatch, nu, n):
+        # certified, inapplicable and zero-at-radius-1 families alike
+        def no_zeros(*args, **kwargs):
+            raise AssertionError("a zero was localised")
+        for mod in ("dinicert.certify", "dinicert.criterion"):
+            monkeypatch.setattr(importlib.import_module(mod), "find_zeros", no_zeros)
+        with pytest.raises(DomainError, match=r"n_terms must lie in \[0, 18\]"):
+            certify(fam(1.0, nu), zero_count=n)
 
     def test_enclosure_attached(self):
         rep = certify(fam(2.0, 1.0))
@@ -168,6 +181,23 @@ class TestFactorization:
         fc = factorization_check(fam(2.0, 1.0), n_zeros=18, table=table18)
         assert fc.within_envelope
         assert fc.max_deviation > 0.0
+
+    @pytest.mark.parametrize("n", [6, 12, 18])
+    @pytest.mark.parametrize("a,nu", [(1.0, 0.5), (2.0, 0.5), (1.0, 1.5), (2.0, 1.0)])
+    def test_exact_tail_envelope(self, a, nu, n):
+        # selftest check 09's families; at z = -0.9 every dropped factor is
+        # 1 + 0.9/omega_n^2, so the expm1 envelope is nearly attained
+        fc = factorization_check(fam(a, nu), n_zeros=n)
+        assert fc.within_envelope
+        assert fc.max_deviation > 0.99 * fc.envelope
+
+    def test_grid_is_the_polar_grid(self):
+        # the grid factorization_check built by hand, bit for bit
+        radii = [0.9 * (k + 1) / 16 for k in range(16)]
+        thetas = [2.0 * math.pi * j / 96 for j in range(49)]
+        by_hand = np.asarray(radii)[:, None] * np.exp(1j * np.asarray(thetas)[None, :])
+        assert np.array_equal(_polar_grid(tuple(default_radii(16, 0.9)), 96), by_hand)
+        assert _polar_grid(tuple(default_radii(16, 0.9)), 7).shape == (16, 7)
 
     def test_deviation_shrinks_with_more_zeros(self, table18):
         devs = [factorization_check(fam(2.0, 1.0), n_zeros=n, table=table18,

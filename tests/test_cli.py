@@ -61,6 +61,12 @@ class TestExitCodes:
         assert err == ("numeric failure: no sign change of the critical equation "
                        f"on [-0.74, 2] for a={a}\n")
 
+    @pytest.mark.parametrize("nu,n", [("0.5", "-5"), ("-0.5", "-3")])
+    def test_certify_zero_count_validated(self, nu, n):
+        # -5 raised IndexError, -3 exited 0; the goldens pin -1 and 19
+        code, out, err = run_inproc(["certify", "--a", "1", "--nu", nu, "--n", n])
+        assert (code, out, err) == (2, "", "error: n_terms must lie in [0, 18]\n")
+
     def test_underflowing_scan_start_fails_loudly(self):
         # 4a(nu + 1) underflows to 0; omega_1 ~ 3.3e-170 is found, but no
         # bracket of width 1e-12 around it stays inside x > 0

@@ -1,5 +1,6 @@
 """Sum criterion and critical order tests against independent oracles."""
 
+import importlib
 import math
 import sys
 
@@ -18,9 +19,14 @@ from dinicert import (
     critical_equation,
     critical_order,
     evaluate_criterion,
+    find_zeros,
+    ismail_lower_bound,
     sum_closed,
     sum_truncated,
 )
+from dinicert.zeros import MAX_ZEROS
+
+criterion = importlib.import_module("dinicert.criterion")
 
 # Root of J_nu(1) = J_{nu+1}(1): the first Dini zero of the a=1 family sits
 # exactly at radius 1 there, so the closed-form sum has a pole.
@@ -58,10 +64,13 @@ class TestSumTruncated:
         assert value == pytest.approx(exact_partial_half(8), abs=1e-12)
         true_tail = math.tan(1.0) / 2.0 - value
         assert tail >= true_tail > 0.0
-        # integral-comparison bound from the eighth zero with spacing pi
-        om8 = 15.0 * math.pi / 2.0
-        ref = math.log((om8 + 1.0) / (om8 - 1.0)) / (2.0 * math.pi)
+        # (T - P_8) m / (m - 1) on the exact zeros (2n-1)pi/2, with T = 1/2
+        zs = [(2 * n - 1) * math.pi / 2.0 for n in range(1, 9)]
+        m = zs[-1] ** 2
+        ref = (0.5 - math.fsum(1.0 / (z * z) for z in zs)) * m / (m - 1.0)
         assert tail == pytest.approx(ref, abs=1e-10)
+        # below the integral-comparison bound with spacing pi
+        assert tail < 0.01351761132345682
 
     def test_empty_sum(self):
         fam = DiniFamily(1.0, Order(0.5))
@@ -91,6 +100,57 @@ class TestSumTruncated:
         with pytest.raises(DomainError):
             sum_truncated(fam, 19)
 
+    def test_no_terms_bounds_what_one_term_encloses(self):
+        # N = 0 and N = 1 both read omega_1 alone: T m/(m - 1) is
+        # 1/(m - 1) + (T - 1/m) m/(m - 1)
+        fam = DiniFamily(2.0, Order(1.0))
+        value, tail = sum_truncated(fam, 1)
+        assert sum_truncated(fam, 0) == (0.0, pytest.approx(value + tail, rel=1e-15))
+
+
+class TestTailIdentity:
+    def test_half_order_square_sum(self):
+        # T = (a + 2)/(4a(nu + 1)) = 1/2 = sum 4/((2n - 1)^2 pi^2) for (1, 1/2)
+        assert 1.0 / ismail_lower_bound(DiniFamily(1.0, Order(0.5))) == 0.5
+        with mpmath.workdps(30):
+            t = mpmath.nsum(lambda n: 4 / ((2 * n - 1) * mpmath.pi) ** 2, [1, mpmath.inf])
+            assert abs(t - mpmath.mpf(1) / 2) < mpmath.mpf(10) ** -25
+
+    def test_tail_reads_only_the_first_zeros(self):
+        fam = DiniFamily(2.0, Order(1.0))
+        long = evaluate_criterion(fam, 5, table=find_zeros(fam, 18))
+        short = evaluate_criterion(fam, 5, table=find_zeros(fam, 5))
+        assert (long.truncated_value, long.tail_bound) == (
+            short.truncated_value, short.tail_bound) == sum_truncated(fam, 5)
+
+
+@settings(max_examples=60, derandomize=True, deadline=None)
+@given(a=st.floats(math.log(0.05), math.log(50.0)).map(math.exp),
+       nu=st.floats(-0.95, 25.0, exclude_min=True),
+       n=st.integers(0, MAX_ZEROS))
+@example(a=1.0, nu=0.5, n=0)
+@example(a=0.05, nu=25.0, n=1)
+@example(a=50.0, nu=-0.5, n=18)
+def test_tail_bound_two_sided_against_mpmath(a, nu, n):
+    """true <= tail_bound <= true m/(m - 1), with true = S - truncated_value
+    from 50-digit mpmath, wherever the truncated route applies: the two
+    sides of the proof that 1/omega_n^2 < 1/(omega_n^2 - 1) <= (1/omega_n^2)
+    m/(m - 1) for n > N."""
+    fam = DiniFamily(a, Order(nu))
+    try:
+        table = find_zeros(fam, max(n, 1))
+        crit = evaluate_criterion(fam, n, table=table)
+    except NumericFailure:  # fewer zeros below 60, or D(1) = 0
+        return
+    if crit.truncated_value is None:
+        return
+    with mpmath.workdps(50):
+        m_a, v = mpmath.mpf(a), mpmath.mpf(nu)
+        j0, j1 = mpmath.besselj(v, 1), mpmath.besselj(v + 1, 1)
+        true = (j0 + (m_a - 2 * v) * j1) / (2 * (m_a * j0 - j1)) - crit.truncated_value
+        m = mpmath.mpf(table.zeros[max(n, 1) - 1]) ** 2
+        assert true <= crit.tail_bound <= true * m / (m - 1)
+
 
 class TestEvaluateCriterion:
     def test_fields(self):
@@ -105,6 +165,12 @@ class TestEvaluateCriterion:
     def test_truncated_route_none_when_inapplicable(self):
         crit = evaluate_criterion(DiniFamily(1.0, Order(-0.5)), n_terms=6)
         assert crit.truncated_value is None and crit.tail_bound is None
+
+    @pytest.mark.parametrize("n", [-1, 19])
+    def test_term_count_validated_with_a_table(self, n):
+        fam = DiniFamily(1.0, Order(0.5))
+        with pytest.raises(DomainError, match=r"n_terms must lie in \[0, 18\]"):
+            evaluate_criterion(fam, n_terms=n, table=find_zeros(fam, 18))
 
 
 class TestCriticalEquation:
@@ -138,6 +204,16 @@ class TestCriticalOrder:
         signs = [critical_equation(2.0, -0.995 + 0.01 * k) > 0 for k in range(300)]
         assert sum(s != t for s, t in zip(signs, signs[1:])) == 1
 
+    def test_reads_one_j_pair(self, monkeypatch):
+        # the bracket is certified by the secant's own phi; the residual and
+        # S(a, nu_a) share one pair at the root
+        calls = []
+        pair = criterion._j_pair
+        monkeypatch.setattr(criterion, "_j_pair",
+                            lambda nu, x: calls.append((nu, x)) or pair(nu, x))
+        res = critical_order(2.0)
+        assert calls == [(res.nu_a, 1.0)]
+
     def test_a1_root(self):
         res = critical_order(1.0)
         assert res.nu_a == pytest.approx(0.3060766614512549, abs=1e-9)
@@ -165,6 +241,11 @@ class TestCriticalOrder:
         # the bracket rounds to one point, so g cannot change sign across it
         with pytest.raises(NumericFailure, match="does not change sign"):
             critical_order(1.0, tol=1e-17)
+
+    def test_overflowing_equation_fails_loudly(self):
+        # phi changes sign across the bracket, but (2a - 1) J_nu(1) overflows
+        with pytest.raises(NumericFailure, match="residual inf"):
+            critical_order(1e308)
 
     def test_no_sign_change(self):
         with pytest.raises(NumericFailure, match="no sign change"):
