@@ -33,6 +33,7 @@ from __future__ import annotations
 
 import cmath
 import math
+from functools import lru_cache
 
 import numpy as np
 from mpmath.libmp import (
@@ -232,58 +233,69 @@ def _check_disk(z):
 
 
 def _w_sum(a: float, nu: float, z, derivative: bool):
-    """Vectorized series sum for w (or w') on |z| <= 1.
+    """Vectorized series sum for w (or w') on |z| <= 1, for pointwise callers.
 
     Stops once two consecutive terms fall below 1e-16 * (1 + |partial|),
-    measured in the max norm over the input array.
-
-    Neither max needs every point.  The rim is the points whose |z| is within
-    a relative 1e-12 of the largest.  Off the rim |t_k(z)| = |c_k| |z|^(k+1)
-    is below its value at the largest |z| by a factor (1 - 1e-12)^(k+1), which
-    the rounding of k terms, under 8 eps each, cannot make up, so max |t| over
-    the rim is the max over the array, bit for bit (terms below the normal
-    range fall under every threshold alike).  The threshold 1e-16 (1 + max |s|)
-    is monotone in max |s|, which lies between the rim's max and
-    B = (1 + 1e-9) sum_j max |t_j| (the triangle inequality, with room for
-    rounding), so the full max is taken only when max |t| falls between the
-    thresholds of the two bounds.  The series thus stops at the same term as
-    with both maxima over the array, and returns the same bits.  Where the rim
-    is every point (a scalar, a circle) nothing is indexed.
-    ``t = t * (f * zz)`` stays as written: numpy may evaluate it in place as
-    (f * zz) * t, and the complex product is not bitwise commutative.
+    measured in the max norm over the input array; max |s| is taken only
+    where its bound, the sum of the terms' maxima, cannot decide.  f z is
+    named, so the product stays t * (f z): numpy computes ``t * (f * zz)`` as
+    (f z) * t for arrays of 256 KiB or more, and the complex product is not
+    bitwise commutative.
     """
     zz = _check_disk(z)
     t = np.ones_like(zz) if derivative else zz.copy()
     s = t.copy()
-    r = np.abs(zz)
-    rim = np.flatnonzero(r >= (1.0 - 1e-12) * r.max())
-    whole = rim.size == r.size
-
-    def rim_max(v):
-        return float(np.max(np.abs(v if whole else np.take(v, rim))))
-
-    bound = rim_max(t)
-    n = 0
-    small = 0
+    bound = float(np.max(np.abs(t)))
+    n = small = 0
     while small < 2:
         f = _w_ratio(a, nu, n)
         if derivative:
             f *= (n + 2) / (n + 1)
-        t = t * (f * zz)
+        fz = f * zz
+        t = t * fz
         s = s + t
-        tmax = rim_max(t)
+        tmax = float(np.max(np.abs(t)))
         bound += tmax
-        if tmax >= 1e-16 * (1.0 + bound * (1.0 + 1e-9)):
-            small = 0
-        else:
-            smax = rim_max(s)
-            if not whole and not tmax < 1e-16 * (1.0 + smax):
-                smax = float(np.max(np.abs(s)))
-            small = small + 1 if tmax < 1e-16 * (1.0 + smax) else 0
+        small = small + 1 if (tmax < 1e-16 * (1.0 + bound * (1.0 + 1e-9))
+                              and tmax < 1e-16 * (1.0 + float(np.max(np.abs(s))))) else 0
         n += 1
         if n > 400:
             raise NumericFailure("w series did not converge on the unit disk")
     return s
+
+
+@lru_cache(maxsize=4)
+def _unit_roots(m: int) -> np.ndarray:
+    """e^(2 pi i l / m) for l < m, built once per m and read-only."""
+    e = np.exp(1j * np.array([2.0 * math.pi * l / m for l in range(m)]))
+    e.flags.writeable = False
+    return e
+
+
+def _w_polar(a: float, nu: float, radii, m: int, count: int, derivative: bool = True):
+    """[Re w, Im w] and, if ``derivative``, [Re z w', Im z w'] at r_i e^(2 pi i j / m),
+    j < count, a row per radius.  A term separates, c_k z^(k+1) =
+    c_k r^(k+1) e^(i (k+1) theta), so each block is a (radii x K) ring matrix
+    times (K x angles) harmonics, read from ``_unit_roots`` at the exact index
+    (k+1) j mod m.  The series stops once two consecutive rim terms of z w',
+    (k+1) |c_k| r_max^(k+1), fall below 1e-16 (1 + their sum): ``_w_sum``'s
+    rule, with the rim terms for the grid's max |t| and their sum for max |s|.
+    """
+    rmax = float(max(radii))
+    c, bound, small = [1.0], rmax, 0
+    while small < 2:
+        k = len(c)
+        c.append(c[-1] * _w_ratio(a, nu, k - 1))
+        u = (k + 1) * abs(c[-1]) * rmax ** (k + 1)
+        bound += u
+        small = small + 1 if u < 1e-16 * (1.0 + bound) else 0
+        if k > 400:
+            raise NumericFailure("w series did not converge on the unit disk")
+    k1 = np.arange(1, len(c) + 1)
+    ring = np.asarray(c) * np.asarray(radii, dtype=float)[:, None] ** k1
+    ring = np.stack([ring, ring * k1] if derivative else [ring])[:, None]
+    e = _unit_roots(m)[k1[:, None] * np.arange(count) % m]
+    return (ring @ np.stack([e.real, e.imag])).reshape(-1, len(radii), count)
 
 
 def w_eval(family: DiniFamily, z):
@@ -294,17 +306,13 @@ def w_eval(family: DiniFamily, z):
     yields a result with imaginary part exactly zero.
     """
     out = _w_sum(family.a, family.nu, z, derivative=False)
-    if np.isscalar(z) or np.ndim(z) == 0:
-        return complex(out)
-    return out
+    return complex(out) if np.ndim(z) == 0 else out
 
 
 def w_prime_eval(family: DiniFamily, z):
     """Term-wise differentiated series of w_{a,nu}; w'(0) = 1."""
     out = _w_sum(family.a, family.nu, z, derivative=True)
-    if np.isscalar(z) or np.ndim(z) == 0:
-        return complex(out)
-    return out
+    return complex(out) if np.ndim(z) == 0 else out
 
 
 _CLOSED_FORMS = ("q_half", "q_threehalf", "r_half", "r_threehalf")

@@ -22,7 +22,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .bessel import _j_ratio, _w_sum
+from .bessel import _j_ratio, _unit_roots, _w_polar
 from .criterion import BOUNDARY_BAND, SumCriterion, _check_n_terms, evaluate_criterion, sum_closed
 from .errors import DomainError, NumericFailure, PoleError
 from .families import DiniFamily
@@ -80,9 +80,7 @@ def _polar_grid(radii: tuple[float, ...], m: int) -> np.ndarray:
     """The disk checks' polar grid r e^(2 pi i j / m), built once per
     (radii, m) and read-only, as every caller shares it.  For an even m only
     theta in [0, pi]; an odd m samples the full circle."""
-    count = m // 2 + 1 if m % 2 == 0 else m
-    t = np.array([2.0 * math.pi * j / m for j in range(count)])
-    z = np.asarray(radii, dtype=float)[:, None] * np.exp(1j * t[None, :])
+    z = np.asarray(radii, dtype=float)[:, None] * _unit_roots(m)[:m // 2 + 1 if m % 2 == 0 else m]
     z.flags.writeable = False
     return z
 
@@ -101,15 +99,16 @@ def starlike_sample(family: DiniFamily, radii, angles_count: int) -> float:
     if m < 4:
         raise DomainError("angles_count must be at least 4")
     z = _polar_grid(radii, m)
-    w = _w_sum(family.a, family.nu, z, derivative=False)
-    wp = _w_sum(family.a, family.nu, z, derivative=True)
-    wabs = np.abs(w)
-    if float(wabs.min()) < 1e-14:
-        i = np.unravel_index(int(np.argmin(wabs)), wabs.shape)
-        raise NumericFailure(
-            f"grid fault: |w| below 1e-14 at z={z[i]!r}; a zero meets the grid")
-    func = np.real(z * wp / w)
-    return float(func.min())
+    p, q, x, y = _w_polar(family.a, family.nu, radii, m, z.shape[1])
+    x *= p
+    x += np.multiply(y, q, out=y)  # Re(z w' conj(w))
+    p *= p
+    p += np.multiply(q, q, out=q)  # |w|^2
+    i = np.unravel_index(int(np.argmin(p)), p.shape)
+    if math.sqrt(p[i]) < 1e-14:
+        raise NumericFailure(f"grid fault: |w| below 1e-14 at z={z[i]!r}; a zero meets the grid")
+    x /= p
+    return float(x.min())
 
 
 def factorization_check(family: DiniFamily, n_zeros: int = 18,
@@ -124,15 +123,17 @@ def factorization_check(family: DiniFamily, n_zeros: int = 18,
     C expm1(|z|_max (T - P_N)), C the max modulus of the partial product on
     ``_polar_grid``; the first-order C |z|_max (T - P_N) would not hold.
     """
+    n_zeros = _check_n_terms(n_zeros)
     if not 0.0 < max_radius < 1.0:
         raise DomainError("max_radius must lie in (0, 1)")
     if table is None or len(table) < n_zeros:
-        table = find_zeros(family, n_zeros)
+        table = find_zeros(family, max(n_zeros, 1))
     zs = np.array(table.zeros[:n_zeros])
-    z = _polar_grid(tuple(default_radii(n_radii, max_radius)), n_angles)
-    w = _w_sum(family.a, family.nu, z, derivative=False)
+    radii = tuple(default_radii(n_radii, max_radius))
+    z = _polar_grid(radii, n_angles)
+    p, q = _w_polar(family.a, family.nu, radii, n_angles, z.shape[1], derivative=False)
     prod = z * np.prod(1.0 - z[..., None] / (zs * zs), axis=-1)
-    deviation = float(np.max(np.abs(w - prod)))
+    deviation = float(np.max(np.hypot(p - prod.real, q - prod.imag)))
     tail_sum = 1.0 / ismail_lower_bound(family) - math.fsum(1.0 / (zs * zs))
     envelope = float(np.max(np.abs(prod))) * math.expm1(max_radius * tail_sum)
     return FactorizationCheck(n_zeros, deviation, envelope)

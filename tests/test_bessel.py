@@ -383,8 +383,9 @@ class TestWSeries:
 
 
 def w_sum_reference(a, nu, zz, derivative):
-    """The w series with both stop-test maxima taken over every point: the
-    reference whose bits _w_sum must reproduce."""
+    """The w series with both stop-test maxima taken over every point at every
+    term, and the product in _w_sum's pinned order t * (f z): the reference
+    whose bits _w_sum must reproduce."""
     t = np.ones_like(zz) if derivative else zz.copy()
     s = t.copy()
     n = 0
@@ -393,7 +394,8 @@ def w_sum_reference(a, nu, zz, derivative):
         f = -(2 * n + 2 + a) / ((2 * n + a) * 4.0 * (n + 1) * (nu + n + 1))
         if derivative:
             f *= (n + 2) / (n + 1)
-        t = t * (f * zz)
+        fz = f * zz
+        t = t * fz
         s = s + t
         tmax = float(np.max(np.abs(t)))
         smax = float(np.max(np.abs(s)))
@@ -411,9 +413,9 @@ def _circle(n):
     return np.exp(2j * np.pi * np.arange(n) / n)
 
 
-# starlike_sample's grids (64 x 361, an odd angle count, radii decreasing),
-# unit circles (20,000 points is past numpy's 256 KiB temporary-elision size)
-# and 0-d scalars.
+# Polar grids (64 x 361, an odd angle count, radii decreasing), unit circles
+# (20,000 points is past numpy's 256 KiB temporary-elision size) and 0-d
+# scalars.
 W_SUM_INPUTS = {
     "default_grid": lambda: _polar_grid(tuple(default_radii()), 720),
     "odd_angles": lambda: _polar_grid(tuple(default_radii(16)), 63),
@@ -430,8 +432,9 @@ W_SUM_INPUTS = {
 @settings(max_examples=12, derandomize=True, deadline=None)
 @given(log_a=st.floats(-2.0, 2.0), nu=st.floats(-0.99, 60.0, exclude_min=True))
 def test_w_sum_bit_identical_to_reference(name, log_a, nu):
-    """The rim stop test stops at the reference's term, so w and w' are
-    equal bit for bit on every input shape."""
+    """The bracketed stop test stops at the reference's term, and the pinned
+    product keeps the 256 KiB inputs in the reference's order, so w and w'
+    are equal bit for bit on every input shape."""
     a, zz = 10.0 ** log_a, W_SUM_INPUTS[name]()
     for derivative in (False, True):
         assert np.array_equal(_w_sum(a, nu, zz, derivative),
@@ -441,12 +444,22 @@ def test_w_sum_bit_identical_to_reference(name, log_a, nu):
 @pytest.mark.parametrize("a, nu, z0", [(1.0, -0.5, 0.740173884394967),
                                        (0.7, -0.3, 0.8062230035949673)])
 def test_w_sum_zero_on_rim(a, nu, z0):
-    """z0 = omega_1^2 puts a zero of w on the rim, so the rim's max |s| is
-    small against |w(-0.99 z0)|, off the rim.  A last term then falls between
-    the thresholds of the rim's max |s| and of the full max, where only the
-    full max stops the series where the reference does."""
+    """z0 = omega_1^2 puts a zero of w at the largest |z|, so max |s| sits at
+    a smaller |z| (-0.99 z0) than max |t|: both maxima must be taken over
+    every point to stop where the reference does."""
     zz = np.array([z0, -0.99 * z0, 0.5 * z0])
     assert np.array_equal(_w_sum(a, nu, zz, False), w_sum_reference(a, nu, zz, False))
+
+
+@pytest.mark.parametrize("derivative", [False, True])
+def test_w_sum_independent_of_array_size(derivative):
+    """The 20,000-point circle (past numpy's 256 KiB temporary elision) gives
+    the same bits as its points in 1,000-point chunks: the product's operand
+    order does not follow the array's size."""
+    zz = 0.9 * _circle(20000)
+    whole = _w_sum(1.0, 0.3, zz, derivative)
+    chunks = [_w_sum(1.0, 0.3, zz[i:i + 1000], derivative) for i in range(0, 20000, 1000)]
+    assert np.array_equal(whole, np.concatenate(chunks))
 
 
 class TestClosedFormOracles:

@@ -3,6 +3,7 @@
 import cmath
 import importlib
 import math
+import sys
 
 import mpmath
 import numpy as np
@@ -22,6 +23,8 @@ from dinicert import (
     starlike_sample,
     w_eval,
 )
+from dinicert import bessel
+from dinicert.bessel import _w_polar, _w_sum
 from dinicert.certify import _polar_grid, default_radii
 
 NU_POLE_A1 = -0.3400924939228838
@@ -171,6 +174,77 @@ class TestStarlikeSample:
             starlike_sample(f, [z0], 8)
 
 
+def functional_mp(a, nu, r, j, m):
+    """(Re(z w'/w), its rounding scale) at z = r e^(2 pi i j / m), to 50 digits:
+    the scale (sum |(k+1) c_k z^(k+1)| + |Re(z w'/w)| sum |c_k z^(k+1)|) / |w|
+    bounds how far the rounding of the two sums, eps times their absolute
+    terms, moves the quotient."""
+    with mpmath.workdps(50):
+        a, nu = mpmath.mpf(a), mpmath.mpf(nu)
+        z = mpmath.mpf(r) * mpmath.expjpi(mpmath.mpf(2 * j) / m)
+        c, w, zwp, aw, azwp, k = mpmath.mpf(1), 0, 0, 0, 0, 0
+        while (k + 1) * abs(c) > mpmath.mpf(10) ** -60:
+            t = c * z ** (k + 1)
+            w, zwp, aw, azwp = w + t, zwp + (k + 1) * t, aw + abs(t), azwp + (k + 1) * abs(t)
+            c *= -(2 * k + 2 + a) / ((2 * k + a) * 4 * (k + 1) * (nu + k + 1))
+            k += 1
+        f = (zwp / w).real
+        return f, (azwp + abs(f) * aw) / abs(w)
+
+
+@settings(max_examples=25, derandomize=True, deadline=None)
+@given(log_a=st.floats(-2.0, 2.0), nu=st.floats(-0.99, 60.0, exclude_min=True),
+       points=st.lists(st.tuples(st.integers(0, 63), st.integers(0, 360)),
+                       min_size=50, max_size=50))
+def test_polar_sum_against_mpmath(log_a, nu, points):
+    """Re(z w'/w) from the separable sum, at the 64 x 361 grid's argmin and 50
+    more points, is within the pointwise series' error of 50-digit mpmath, or
+    within twice the rounding scale (both sums keep to about 1.7 scales)."""
+    a, radii = 10.0 ** log_a, tuple(default_radii())
+    z = _polar_grid(radii, 720)
+    p, q, x, y = _w_polar(a, nu, radii, 720, z.shape[1])
+    new = (x * p + y * q) / (p * p + q * q)
+    old = np.real(z * _w_sum(a, nu, z, True) / _w_sum(a, nu, z, False))
+    assert starlike_sample(fam(a, nu), radii, 720) == new.min()
+    argmin = np.unravel_index(int(np.argmin(new)), new.shape)
+    for i, j in [argmin, *points]:
+        ref, scale = functional_mp(a, nu, radii[i], int(j), 720)
+        err_new, err_old = abs(new[i, j] - ref), abs(old[i, j] - ref)
+        assert err_new <= max(err_old, 2 * sys.float_info.epsilon * scale), (i, j)
+
+
+@pytest.mark.parametrize("radii, m", [(default_radii(16), 63),
+                                      (default_radii(16)[::-1], 64),
+                                      ([1e-3], 8), ([1e-3], 7)])
+def test_polar_sum_grid_shapes(radii, m):
+    """An odd angle count (the full circle), decreasing radii and one tiny
+    radius: w and z w' match the pointwise series at every point, within
+    rounding of their terms, whose moduli sum to below 3 |z| here, and
+    starlike_sample is the functional's minimum."""
+    a, nu, radii = 1.3, 0.4, tuple(radii)
+    z = _polar_grid(radii, m)
+    p, q, x, y = _w_polar(a, nu, radii, m, z.shape[1])
+    assert p.shape == z.shape == (len(radii), m // 2 + 1 if m % 2 == 0 else m)
+    w, zwp = _w_sum(a, nu, z, False), z * _w_sum(a, nu, z, True)
+    assert np.all(np.abs(p + 1j * q - w) <= 4e-15 * np.abs(z))
+    assert np.all(np.abs(x + 1j * y - zwp) <= 4e-15 * np.abs(z))
+    value = starlike_sample(fam(a, nu), radii, m)
+    assert value == pytest.approx(float(np.min(np.real(zwp / w))), abs=1e-15)
+
+
+def test_disk_checks_never_sum_pointwise(monkeypatch):
+    """starlike_sample and factorization_check take w from the separable sum
+    alone, not from the pointwise series."""
+    def spy(*args):
+        raise AssertionError("_w_sum called")
+    for mod in (bessel, importlib.import_module("dinicert.certify")):
+        monkeypatch.setattr(mod, "_w_sum", spy, raising=False)
+    assert starlike_sample(fam(1.3, 0.4), default_radii(), 720) > 0.0
+    assert starlike_sample(fam(1.3, 0.4), [0.5, 0.9], 7) > 0.0
+    assert factorization_check(fam(2.0, 1.0), n_zeros=6).within_envelope
+    assert certify(fam(1.0, 0.5)).min_re_starlike > 0.0
+
+
 @pytest.fixture(scope="module")
 def table18():
     return find_zeros(fam(2.0, 1.0), 18)
@@ -212,3 +286,19 @@ class TestFactorization:
     def test_validation(self):
         with pytest.raises(DomainError):
             factorization_check(fam(1.0, 0.5), n_zeros=4, max_radius=1.5)
+
+    @pytest.mark.parametrize("n", [-1, 19])
+    @pytest.mark.parametrize("with_table", [False, True])
+    def test_zero_count_validated_before_any_zero(self, monkeypatch, table18, n, with_table):
+        # n_zeros = -1 once sliced a passed table to 17 zeros and reported -1
+        def no_zeros(*args, **kwargs):
+            raise AssertionError("a zero was localised")
+        monkeypatch.setattr(importlib.import_module("dinicert.certify"), "find_zeros", no_zeros)
+        with pytest.raises(DomainError, match=r"n_terms must lie in \[0, 18\]"):
+            factorization_check(fam(2.0, 1.0), n_zeros=n, table=table18 if with_table else None)
+
+    def test_no_zeros_compares_against_z(self):
+        # N = 0: the product is z itself and the envelope the whole sum T
+        fc = factorization_check(fam(2.0, 1.0), n_zeros=0)
+        assert fc.n_zeros == 0
+        assert fc.within_envelope
