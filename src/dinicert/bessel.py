@@ -220,11 +220,6 @@ def bessel_j_prime(order: Order | float, x: float) -> float:
     return (nu / x) * j0 - j1
 
 
-def _w_ratio(a: float, nu: float, n: int) -> float:
-    """Factor f_n with t_{n+1} = f_n * z * t_n for the w_{a,nu} series."""
-    return -(2 * n + 2 + a) / ((2 * n + a) * 4.0 * (n + 1) * (nu + n + 1))
-
-
 def _check_disk(z):
     zz = np.asarray(z, dtype=np.complex128)
     if not np.all(np.abs(zz) <= 1.0 + 1e-9):  # NaN fails the comparison too
@@ -232,36 +227,46 @@ def _check_disk(z):
     return zz
 
 
-def _w_sum(a: float, nu: float, z, derivative: bool):
-    """Vectorized series sum for w (or w') on |z| <= 1, for pointwise callers.
+def _w_coeffs(a: float, nu: float, rmax: float) -> list[float]:
+    """c_k of w_{a,nu} = sum c_k z^(k+1), from c_0 = 1 by the term ratio
+    c_{n+1} / c_n = -(2n + 2 + a) / ((2n + a) 4 (n + 1) (nu + n + 1)), until two
+    consecutive rim terms of z w' on |z| <= rmax, (k+1) |c_k| rmax^(k+1), fall
+    below 1e-16 (1 + their sum)."""
+    c, bound, small = [1.0], rmax, 0
+    while small < 2:
+        n = len(c) - 1
+        c.append(c[-1] * (-(2 * n + 2 + a) / ((2 * n + a) * 4.0 * (n + 1) * (nu + n + 1))))
+        u = (n + 2) * abs(c[-1]) * rmax ** (n + 2)
+        bound += u
+        small = small + 1 if u < 1e-16 * (1.0 + bound) else 0
+        if n >= 400:
+            raise NumericFailure("w series did not converge on the unit disk")
+    return c
 
-    Stops once two consecutive terms fall below 1e-16 * (1 + |partial|),
-    measured in the max norm over the input array; max |s| is taken only
-    where its bound, the sum of the terms' maxima, cannot decide.  f z is
-    named, so the product stays t * (f z): numpy computes ``t * (f * zz)`` as
-    (f z) * t for arrays of 256 KiB or more, and the complex product is not
-    bitwise commutative.
+
+def _w_sum(a: float, nu: float, z, derivative: bool):
+    """w (or w') on |z| <= 1 for pointwise callers: Horner's rule over
+    ``_w_coeffs`` at the input's max |z|, w = z sum c_k z^k and
+    w' = sum (k+1) c_k z^k, on (Re z, Im z) in real arithmetic.  numpy's
+    scalar and SIMD loops round real products and sums alike, so a point's
+    bits do not depend on the size of its array.  0-d input runs in Python
+    floats and returns a complex.
     """
     zz = _check_disk(z)
-    t = np.ones_like(zz) if derivative else zz.copy()
-    s = t.copy()
-    bound = float(np.max(np.abs(t)))
-    n = small = 0
-    while small < 2:
-        f = _w_ratio(a, nu, n)
-        if derivative:
-            f *= (n + 2) / (n + 1)
-        fz = f * zz
-        t = t * fz
-        s = s + t
-        tmax = float(np.max(np.abs(t)))
-        bound += tmax
-        small = small + 1 if (tmax < 1e-16 * (1.0 + bound * (1.0 + 1e-9))
-                              and tmax < 1e-16 * (1.0 + float(np.max(np.abs(s))))) else 0
-        n += 1
-        if n > 400:
-            raise NumericFailure("w series did not converge on the unit disk")
-    return s
+    c = _w_coeffs(a, nu, float(np.max(np.abs(zz), initial=0.0)))
+    if derivative:
+        c = [(k + 1) * ck for k, ck in enumerate(c)]
+    x, y = (zz.real, zz.imag) if zz.ndim else (float(zz.real), float(zz.imag))
+    p, q = c[-1], 0.0
+    for ck in c[-2::-1]:
+        p, q = p * x - q * y + ck, p * y + q * x
+    if not derivative:
+        p, q = p * x - q * y, p * y + q * x
+    if not zz.ndim:
+        return complex(p, q)
+    out = np.empty(zz.shape, dtype=np.complex128)
+    out.real, out.imag = p, q
+    return out
 
 
 @lru_cache(maxsize=4)
@@ -277,20 +282,9 @@ def _w_polar(a: float, nu: float, radii, m: int, count: int, derivative: bool = 
     j < count, a row per radius.  A term separates, c_k z^(k+1) =
     c_k r^(k+1) e^(i (k+1) theta), so each block is a (radii x K) ring matrix
     times (K x angles) harmonics, read from ``_unit_roots`` at the exact index
-    (k+1) j mod m.  The series stops once two consecutive rim terms of z w',
-    (k+1) |c_k| r_max^(k+1), fall below 1e-16 (1 + their sum): ``_w_sum``'s
-    rule, with the rim terms for the grid's max |t| and their sum for max |s|.
+    (k+1) j mod m.  The coefficients are ``_w_coeffs`` at r_max = max r_i.
     """
-    rmax = float(max(radii))
-    c, bound, small = [1.0], rmax, 0
-    while small < 2:
-        k = len(c)
-        c.append(c[-1] * _w_ratio(a, nu, k - 1))
-        u = (k + 1) * abs(c[-1]) * rmax ** (k + 1)
-        bound += u
-        small = small + 1 if u < 1e-16 * (1.0 + bound) else 0
-        if k > 400:
-            raise NumericFailure("w series did not converge on the unit disk")
+    c = _w_coeffs(a, nu, float(max(radii)))
     k1 = np.arange(1, len(c) + 1)
     ring = np.asarray(c) * np.asarray(radii, dtype=float)[:, None] ** k1
     ring = np.stack([ring, ring * k1] if derivative else [ring])[:, None]
@@ -305,14 +299,12 @@ def w_eval(family: DiniFamily, z):
     complex scalar.  The series has real coefficients, so real input z
     yields a result with imaginary part exactly zero.
     """
-    out = _w_sum(family.a, family.nu, z, derivative=False)
-    return complex(out) if np.ndim(z) == 0 else out
+    return _w_sum(family.a, family.nu, z, derivative=False)
 
 
 def w_prime_eval(family: DiniFamily, z):
     """Term-wise differentiated series of w_{a,nu}; w'(0) = 1."""
-    out = _w_sum(family.a, family.nu, z, derivative=True)
-    return complex(out) if np.ndim(z) == 0 else out
+    return _w_sum(family.a, family.nu, z, derivative=True)
 
 
 _CLOSED_FORMS = ("q_half", "q_threehalf", "r_half", "r_threehalf")

@@ -2,6 +2,7 @@
 
 import cmath
 import math
+import random
 import sys
 
 import mpmath
@@ -344,8 +345,8 @@ class TestWSeries:
             assert abs(mine - ref) <= 1e-14 * (1.0 + abs(ref))
 
     def test_term_stream_matches_coefficients(self):
-        # The term recurrence of w_eval against 12 explicit-coefficient
-        # terms, which exhaust the series to 1e-16 at |z| = 0.43.
+        # Horner's rule in w_eval against 12 explicit-coefficient terms,
+        # which exhaust the series to 1e-16 at |z| = 0.43.
         fam = DiniFamily(1.6, Order(0.8))
         z = 0.37 - 0.21j
         ref = 0j
@@ -381,11 +382,29 @@ class TestWSeries:
         for k, z in enumerate(zs):
             assert out[k] == pytest.approx(w_eval(fam, complex(z)), rel=1e-15)
 
+    @pytest.mark.parametrize("fn", [w_eval, w_prime_eval])
+    def test_scalar_bits_equal_array_element(self, fn):
+        # A point summed alone, in Python floats, and in a one-point array, in
+        # numpy, gets the same bits (a complex product rounds differently in
+        # numpy's scalar and SIMD loops; real products and sums do not).
+        fam, rng = DiniFamily(1.0, Order(0.3)), random.Random(0)
+        for _ in range(300):
+            z = complex(rng.uniform(-0.7, 0.7), rng.uniform(-0.7, 0.7))
+            alone = fn(fam, z)
+            assert type(alone) is complex
+            assert alone == fn(fam, np.array([z]))[0], z
+
+    @pytest.mark.parametrize("fn", [w_eval, w_prime_eval])
+    @pytest.mark.parametrize("shape", [(0,), (2, 0)])
+    def test_empty_array(self, fn, shape):
+        out = fn(DiniFamily(1.0, Order(0.5)), np.zeros(shape, dtype=complex))
+        assert out.shape == shape and out.dtype == np.complex128
+
 
 def w_sum_reference(a, nu, zz, derivative):
-    """The w series with both stop-test maxima taken over every point at every
-    term, and the product in _w_sum's pinned order t * (f z): the reference
-    whose bits _w_sum must reproduce."""
+    """The w series by the complex term recurrence t_{n+1} = t_n (f_n z), with
+    both stop-test maxima taken over every point at every term: the accuracy
+    reference for _w_sum."""
     t = np.ones_like(zz) if derivative else zz.copy()
     s = t.copy()
     n = 0
@@ -409,6 +428,33 @@ def w_sum_reference(a, nu, zz, derivative):
     return s
 
 
+def w_series_mp(a, nu, z, derivative):
+    """(w or w' at z, the sum of its terms' moduli) from 40 terms of the series
+    in 40-digit mpmath; on |z| <= 1, a >= 0.01 and nu > -0.99 the terms left
+    out are below 1e-95."""
+    with mpmath.workdps(40):
+        a, nu, z = mpmath.mpf(a), mpmath.mpf(nu), mpmath.mpc(z)
+        c, s, scale = mpmath.mpf(1), 0, 0
+        for k in range(40):
+            t = (k + 1) * c * z ** k if derivative else c * z ** (k + 1)
+            s, scale = s + t, scale + abs(t)
+            c *= -(2 * k + 2 + a) / ((2 * k + a) * 4 * (k + 1) * (nu + k + 1))
+        return s, scale
+
+
+def assert_w_sum_accurate(a, nu, zz, derivative, points):
+    """At the argmin of |w| (or |w'|) and ``points`` (indices into the
+    flattened input), _w_sum is within the reference's error of mpmath, or
+    within twice the rounding scale eps sum |terms|."""
+    new = np.reshape(_w_sum(a, nu, zz, derivative), -1)
+    old = np.reshape(w_sum_reference(a, nu, zz, derivative), -1)
+    flat = np.reshape(zz, -1)
+    for i in {int(np.argmin(np.abs(new))), *(p % flat.size for p in points)}:
+        ref, scale = w_series_mp(a, nu, flat[i], derivative)
+        err_new, err_old = abs(new[i] - ref), abs(old[i] - ref)
+        assert err_new <= max(err_old, 2 * sys.float_info.epsilon * scale), (i, derivative)
+
+
 def _circle(n):
     return np.exp(2j * np.pi * np.arange(n) / n)
 
@@ -430,25 +476,24 @@ W_SUM_INPUTS = {
 
 @pytest.mark.parametrize("name", W_SUM_INPUTS)
 @settings(max_examples=12, derandomize=True, deadline=None)
-@given(log_a=st.floats(-2.0, 2.0), nu=st.floats(-0.99, 60.0, exclude_min=True))
-def test_w_sum_bit_identical_to_reference(name, log_a, nu):
-    """The bracketed stop test stops at the reference's term, and the pinned
-    product keeps the 256 KiB inputs in the reference's order, so w and w'
-    are equal bit for bit on every input shape."""
+@given(log_a=st.floats(-2.0, 2.0), nu=st.floats(-0.99, 60.0, exclude_min=True),
+       points=st.lists(st.integers(0, 2 ** 31), min_size=8, max_size=8))
+def test_w_sum_against_mpmath(name, log_a, nu, points):
+    """Horner's rule keeps w and w' within the term recurrence's error of
+    40-digit mpmath, or within 2 eps sum |terms|, on every input shape."""
     a, zz = 10.0 ** log_a, W_SUM_INPUTS[name]()
     for derivative in (False, True):
-        assert np.array_equal(_w_sum(a, nu, zz, derivative),
-                              w_sum_reference(a, nu, zz, derivative))
+        assert_w_sum_accurate(a, nu, zz, derivative, points)
 
 
 @pytest.mark.parametrize("a, nu, z0", [(1.0, -0.5, 0.740173884394967),
                                        (0.7, -0.3, 0.8062230035949673)])
 def test_w_sum_zero_on_rim(a, nu, z0):
-    """z0 = omega_1^2 puts a zero of w at the largest |z|, so max |s| sits at
-    a smaller |z| (-0.99 z0) than max |t|: both maxima must be taken over
-    every point to stop where the reference does."""
+    """z0 = omega_1^2 puts a zero of w at the largest |z|, where w is all
+    cancellation: the error stays at the rounding of the terms there too."""
     zz = np.array([z0, -0.99 * z0, 0.5 * z0])
-    assert np.array_equal(_w_sum(a, nu, zz, False), w_sum_reference(a, nu, zz, False))
+    for derivative in (False, True):
+        assert_w_sum_accurate(a, nu, zz, derivative, range(3))
 
 
 @pytest.mark.parametrize("derivative", [False, True])
