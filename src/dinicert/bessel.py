@@ -22,7 +22,9 @@ are two ways to sum it:
   result to a double, so results are faithfully rounded (error below
   1 ulp), not always correctly rounded: against 40-digit mpmath at 300
   random points with nu in (-1, 100] and x in (3, 60], 288 of the 600
-  values are not the nearest double; the worst is 0.998 ulp.
+  values are not the nearest double; the worst is 0.998 ulp.  Zeros
+  (zeros.py) keep the sums: a bracket is certified on the sign of the integer
+  numerator of D / lead, and ``_lead`` is applied only to the residual.
 
 All state is local and mpmath's libmp primitives are pure functions of
 (value, precision), so every function here is safe to call from any
@@ -143,34 +145,22 @@ def _j_sums(nu: float, x: float) -> tuple[int, int, int, int]:
     raise NumericFailure(f"could not reach target precision at nu={nu}, x={x}")
 
 
-def _j_pair(nu: float, x: float, sums: tuple[int, int, int, int] | None = None
-            ) -> tuple[float, float]:
+def _lead(nu: float, x: float, wp: int):
+    """_j_sums' prefactor (x/2)^nu / Gamma(nu + 1) in libmp at wp bits."""
+    mu = from_float(nu)
+    return mpf_div(mpf_pow(mpf_shift(from_float(x), -1), mu, wp, _RN),
+                   mpf_gamma(mpf_add(mu, fone), wp, _RN), wp, _RN)
+
+
+def _j_pair(nu: float, x: float) -> tuple[float, float]:
     """(J_nu(x), J_{nu+1}(x)): doubles where they suffice, else the fixed
-    sums (``sums`` if the caller already holds _j_sums(nu, x)) times their
-    prefactor in libmp, where one power and one Gamma (at nu + 1 exactly)
-    serve both orders."""
+    sums times one ``_lead``, which serves both orders."""
     if x <= _FLOAT_PATH_X_MAX and (pair := _j_pair_float(nu, x)):
         return pair
-    s0, s1, prec, wp = sums or _j_sums(nu, x)
-    mu, half = from_float(nu), mpf_shift(from_float(x), -1)
-    lead = mpf_div(mpf_pow(half, mu, wp, _RN), mpf_gamma(mpf_add(mu, fone), wp, _RN), wp, _RN)
+    s0, s1, prec, wp = _j_sums(nu, x)
+    lead, half = _lead(nu, x, wp), mpf_shift(from_float(x), -1)
     return tuple(to_float(mpf_mul(from_man_exp(s, -prec), f, wp, _RN))
                  for s, f in ((s0, lead), (-s1, mpf_div(lead, half, wp, _RN))))
-
-
-def _sums_scaled(x: float, s0: int, s1: int, prec: int) -> tuple[float, float]:
-    """lead^-1 (J_nu(x), J_{nu+1}(x)) from _j_sums' output: s0 2^-prec and
-    -s1 2^-prec / (x/2), each an int quotient rounded once."""
-    xn, xd = x.as_integer_ratio()
-    return s0 / (1 << prec), -2 * xd * s1 / (xn << prec)
-
-
-def _j_pair_scaled(nu: float, x: float) -> tuple[float, float]:
-    """c (J_nu(x), J_{nu+1}(x)) for some c(nu, x) > 0: the double pair, else
-    the fixed-point sums without the libmp prefactor (c = lead)."""
-    if x <= _FLOAT_PATH_X_MAX and (pair := _j_pair_float(nu, x)):
-        return pair
-    return _sums_scaled(x, *_j_sums(nu, x)[:3])
 
 
 def _j_ratio(nu: float, x: float = 1.0, shift: int = 1) -> tuple[float, float]:

@@ -14,7 +14,7 @@ so a scan step of 2.5 straddles at most one j_{nu,k}.  It then holds one zero
 exactly when D changes sign across it, and two exactly when D keeps its sign,
 J_nu changes sign and sign D = sign J_nu (a - y > 0) at its left end; such a
 step is halved.  The scan starts at half the square root of the Ismail bound,
-below omega_1, where D > 0 and J_nu > 0; its last step ends at x = 60.
+below omega_1, where D > 0 and J_nu > 0, or at x = 60, where its last step ends.
 
 The scan and Newton take D up to a positive factor from ``_j_ratio``'s
 (s, s r) = (J_nu, J_{nu+1}) / |J_nu|.  Its s = sign J_nu errs only within
@@ -23,26 +23,27 @@ rounding of a zero of J_nu, where r flips with it and keeps sign D right (at
 6,300 checks, a in {0.01, 1, 100}); so the halving rule can miss only a Dini
 zero within about (x + 8) eps of j_{nu,k}, which needs a >~ 1e14, far above
 the 2.8e6 past which the certificate fails.  For a subnormal a, which a - x r
-cannot resolve, Newton takes ``_j_pair_scaled``: else a = 5e-324,
+cannot resolve, Newton takes ``_j_pair`` (doubles, for x <= 3): else a = 5e-324,
 nu = -0.9999999999999999 fails at x = 2.85e-170, not omega_1 = 3.3e-170.
 
 Refinement.  Bracket-safeguarded Newton from the middle of the scan step runs
 until its step or the bracket is one ulp of x; a rejected step bisects,
-geometrically across more than a factor 4.  The finish takes the fixed-point
-sums once at x, where D / lead = (an s0 + 2 ad s1) / (ad 2^prec) for
-a = an / ad is rounded only once, and takes up to two Newton steps on it that
-move x, bounded by the scan step, not by the Newton bracket, whose ends took
-the sign of D from rounded values.  Against 40-digit mpmath the worst of 1,690
-zeros (200 random tables and the zero-tables benchmark inputs) is 0.4998 ulp.
+geometrically across more than a factor 4.  The finish takes ``_d_lead``, one
+fixed-point pass, at x: D / lead = num / den exactly, num = an s0 + 2 ad s1 and
+den = ad 2^prec for a = an / ad, so d = num / den rounds once.  Up to two Newton
+steps on d move x, bounded by the scan step, not by the Newton bracket, whose
+ends took sign D from rounded values.  Against 40-digit mpmath the worst of
+1,690 zeros (200 random tables and the zero-tables benchmark inputs) is 0.4998 ulp.
 
 Certificate.  The bracket [x - 0.49 tol, x + 0.49 tol] must round to width
-<= tol inside x > 0, D must change sign across it, and at x |D'| > 1e-8 scale
-and |D| <= 1e-10 scale, scale = |a J_nu| + |x J_{nu+1}|; else NumericFailure.
-No check sees a positive factor, so they run on ``_j_pair_scaled`` at the ends
-and on the finish's sums at x, and nothing underflows: J_400(40) = 1.5e-349,
-yet D_(2,400)'s first zero is certified.  The libmp prefactor is applied once,
-at x, for the reported ``residual``, which is in true units (0.0 where the
-true pair underflows).
+<= tol inside x > 0, ``_d_lead``'s integer numerators at its ends must have
+opposite signs (lead, den > 0), and at x |D'| > 1e-8 scale and |D| <= 1e-10
+scale, scale = |a J_nu| + |x J_{nu+1}|; else NumericFailure.  An integer's sign
+neither rounds nor underflows, and the checks at x see no lead either:
+J_400(40) = 1.5e-349, yet D_(2,400)'s first zero is certified.  The reported
+``residual`` is |num lead / den| at x, with ``_lead`` in libmp, rounded once:
+true units, 0.0 only where it underflows.  No certificate or residual depends
+on whether x <= 3.
 """
 
 from __future__ import annotations
@@ -51,7 +52,9 @@ import math
 import sys
 from dataclasses import dataclass
 
-from .bessel import X_MAX, _check_x, _j_pair, _j_pair_scaled, _j_ratio, _j_sums, _sums_scaled
+from mpmath.libmp import from_man_exp, mpf_mul, round_nearest, to_float
+
+from .bessel import X_MAX, _check_x, _j_pair, _j_ratio, _j_sums, _lead
 from .errors import DomainError, NumericFailure
 from .families import DiniFamily
 
@@ -126,6 +129,15 @@ def ismail_lower_bound(family: DiniFamily) -> float:
     return 4.0 * family.a * (family.nu + 1.0) / (family.a + 2.0)
 
 
+def _d_lead(a: float, nu: float, x: float) -> tuple[int, int, float, float, int]:
+    """(num, den, j0, j1, wp) from one _j_sums pass: D / lead = num / den exactly,
+    den a power of 2; (J_nu, J_{nu+1}) / lead = (j0, j1), each rounded once; wp."""
+    s0, s1, prec, wp = _j_sums(nu, x)
+    (an, ad), (xn, xd) = a.as_integer_ratio(), x.as_integer_ratio()
+    return (an * s0 + 2 * ad * s1, ad << prec, s0 / (1 << prec),
+            -2 * xd * s1 / (xn << prec), wp)
+
+
 def _refine(family: DiniFamily, n: int, lo: float, hi: float, flo: float,
             tol: float) -> ZeroEntry:
     """Zero number n in the scan step (lo, hi), where D is flo at lo, refined
@@ -135,7 +147,7 @@ def _refine(family: DiniFamily, n: int, lo: float, hi: float, flo: float,
     by_pair = a < sys.float_info.min  # a - x r ~ a near the zero
     x = 0.5 * (lo + hi)
     for _ in range(100):
-        j0, j1 = _j_pair_scaled(nu, x) if by_pair else _j_ratio(nu, x, 0)
+        j0, j1 = _j_pair(nu, x) if by_pair else _j_ratio(nu, x, 0)
         d, dp = _d_from_pair(a, x, j0, j1), _dprime_from_pair(a, nu, x, j0, j1)
         lo, hi = (x, hi) if _sign(d) == slo else (lo, x)
         step = d / dp if dp != 0.0 else math.inf
@@ -150,11 +162,9 @@ def _refine(family: DiniFamily, n: int, lo: float, hi: float, flo: float,
         raise NumericFailure(f"Newton did not converge near x={x!r}; zero {n} "
                              "could not be refined")
 
-    an, ad = a.as_integer_ratio()
     for i in range(3):
-        s0, s1, prec, _ = sums = _j_sums(nu, x)
-        d = (an * s0 + 2 * ad * s1) / (ad << prec)  # D / lead, rounded once
-        j0, j1 = _sums_scaled(x, s0, s1, prec)
+        num, den, j0, j1, wp = _d_lead(a, nu, x)
+        d = num / den  # D / lead, rounded once
         dp = _dprime_from_pair(a, nu, x, j0, j1)
         x_new = x - d / dp if dp != 0.0 else x
         if i == 2 or x_new == x or not step_lo < x_new < step_hi:
@@ -166,13 +176,13 @@ def _refine(family: DiniFamily, n: int, lo: float, hi: float, flo: float,
         raise NumericFailure(
             f"zero {n} near x={x!r} could not be refined to a bracket of width "
             f"<= {tol:g} inside x > 0")
-    dl, dh = (_d_from_pair(a, v, *_j_pair_scaled(nu, v)) for v in (blo, bhi))
-    if dl == 0.0 or dh == 0.0 or _sign(dl) == _sign(dh):
+    if _d_lead(a, nu, blo)[0] * _d_lead(a, nu, bhi)[0] >= 0:
         raise NumericFailure(
             f"bracket [{blo!r}, {bhi!r}] has no sign change; zero {n} could not "
             "be refined to a certified zero")
     scale = abs(a * j0) + abs(x * j1)
-    residual = abs(_d_from_pair(a, x, *_j_pair(nu, x, sums)))  # in true units
+    residual = abs(to_float(mpf_mul(from_man_exp(num, 1 - den.bit_length()),
+                                    _lead(nu, x, wp), 53, round_nearest)))
     if abs(dp) <= 1e-8 * scale:
         raise NumericFailure(
             f"derivative vanishes at refined zero x={x!r}; zero may not be simple")
@@ -195,8 +205,8 @@ def find_zeros(family: DiniFamily, count: int, tol: float = DEFAULT_TOL) -> Zero
 
     a, nu = family.a, family.nu
     x = 0.5 * math.sqrt(ismail_lower_bound(family))
-    if x == 0.0:  # 4a(nu + 1) underflowed; the same start from factors that do not
-        x = math.sqrt(a) * math.sqrt((nu + 1.0) / (a + 2.0))
+    if not 0.0 < x < X_MAX:  # 4a(nu + 1) under- or overflowed, or omega_1 > 2 X_MAX
+        x = min(math.sqrt(a) * math.sqrt((nu + 1.0) / (a + 2.0)), X_MAX)
     fx = _d_from_pair(a, x, *(jx := _j_ratio(nu, x, 0)))
     entries: list[ZeroEntry] = []
     while len(entries) < count:

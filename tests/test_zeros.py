@@ -23,7 +23,7 @@ from dinicert import (
     oracle_closed_form,
 )
 from dinicert import zeros
-from dinicert.bessel import _j_pair_scaled
+from dinicert.bessel import X_MAX
 
 
 def bisect(f, lo, hi, tol=1e-13):
@@ -226,11 +226,39 @@ class TestFindZeros:
 
     def test_certified_where_the_pair_underflows(self):
         # J_400(40) = 1.5e-349 underflows in true units, so the sign change
-        # and the checks run on the scaled pair and the residual reads 0.0
+        # and the checks run on the sums over lead and the residual reads 0.0
         e = find_zeros(DiniFamily(2.0, Order(400.0)), 1).entries[0]
         ref = mpmath.mpf("40.00012499668381791127234465277363410016")
         assert e.lo < ref < e.hi and e.residual == 0.0
         assert ulps_off(e.zero, ref) <= 0.5
+
+    # At tol = 1e-14 the end values, once formed in doubles, showed no sign
+    # change across these brackets; their integer numerators do.
+    @pytest.mark.parametrize("a,nu,ref", [
+        (2.962578042575134, 113.91774007601425, 25.926942444606073),
+        (3.6427803850989817, 97.03455925741638, 26.47840418211724)])
+    def test_tight_bracket_certified(self, a, nu, ref):
+        e = find_zeros(DiniFamily(a, Order(nu)), 1, tol=1e-14).entries[0]
+        assert e.zero == ref
+        with mpmath.workdps(40):
+            d = mp_dini(a, nu)
+            assert mpmath.sign(d(e.lo)) * mpmath.sign(d(e.hi)) == -1
+
+    def test_start_past_double_range(self):
+        # 4a(nu + 1) overflows, and the start at half the root of the Ismail
+        # bound was inf
+        with pytest.raises(NumericFailure):
+            find_zeros(DiniFamily(1e308, Order(5.0)), 1)
+
+    def test_scan_starts_at_or_below_cap(self, monkeypatch):
+        # the Ismail start at nu = 1e12 is 5.8e5, where the continued fraction
+        # runs 1.25 x levels; no zero lies below 60 there
+        seen, ratio = [], zeros._j_ratio
+        monkeypatch.setattr(zeros, "_j_ratio",
+                            lambda nu, x, shift=1: seen.append(x) or ratio(nu, x, shift))
+        with pytest.raises(NumericFailure, match="only 0 sign changes"):
+            find_zeros(DiniFamily(1.0, Order(1e12)), 1)
+        assert seen and max(seen) <= X_MAX
 
     def test_insufficient_zeros_below_cap(self):
         # at nu = 9 the 18th zero lies beyond the x <= 60 series range
@@ -277,7 +305,7 @@ def test_zeros_within_1_ulp_of_mpmath(monkeypatch):
     refine, straddles = zeros._refine, []
 
     def spy(family, n, lo, hi, flo, tol):
-        jlo, jhi = (_j_pair_scaled(family.nu, v)[0] for v in (lo, hi))
+        jlo, jhi = (zeros._d_lead(family.a, family.nu, v)[2] for v in (lo, hi))
         straddles.append(math.copysign(1.0, jlo) != math.copysign(1.0, jhi))
         return refine(family, n, lo, hi, flo, tol)
 
@@ -296,6 +324,28 @@ def test_zeros_within_1_ulp_of_mpmath(monkeypatch):
         for e in table.entries:
             assert ulps_off(e.zero, mp_root_near(a, nu, e.zero)) <= 1.0, (a, nu, e.n)
     assert 10 <= sum(straddles) <= len(straddles) - 10
+
+
+def test_residual_against_mpmath():
+    """Seeded tables, a log-uniform in [0.05, 20], nu in (-0.95, 25], up to 8
+    zeros: every residual within 1e-3 relative of the 40-digit |D(zero)|, so
+    nonzero wherever that is."""
+    rng, checked = random.Random(23), 0
+    for _ in range(30):
+        a = math.exp(rng.uniform(math.log(0.05), math.log(20.0)))
+        nu, count = rng.uniform(-0.95, 25.0), rng.randint(1, 8)
+        try:
+            table = find_zeros(DiniFamily(a, Order(nu)), count)
+        except NumericFailure as exc:
+            assert "sign changes of D_" in str(exc)
+            continue
+        with mpmath.workdps(40):
+            d = mp_dini(a, nu)
+            for e in table.entries:
+                ref = abs(d(mpmath.mpf(e.zero)))
+                assert abs(e.residual - ref) <= 1e-3 * ref, (a, nu, e.n)
+                checked += 1
+    assert checked >= 60
 
 
 class TestSmallestZero:
