@@ -23,8 +23,9 @@ are two ways to sum it:
   1 ulp), not always correctly rounded: against 40-digit mpmath at 300
   random points with nu in (-1, 100] and x in (3, 60], 288 of the 600
   values are not the nearest double; the worst is 0.998 ulp.  Zeros
-  (zeros.py) keep the sums: a bracket is certified on the sign of the integer
-  numerator of D / lead, and ``_lead`` is applied only to the residual.
+  (zeros.py) keep the sums: a bracket is certified from D / lead, D' / lead
+  and the pair over lead at the zero itself, and ``_lead`` is applied only to
+  the residual.
 
 All state is local and mpmath's libmp primitives are pure functions of
 (value, precision), so every function here is safe to call from any

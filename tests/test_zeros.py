@@ -266,6 +266,59 @@ class TestFindZeros:
             find_zeros(DiniFamily(1.0, Order(9.0)), 18)
 
 
+class TestIntervalNewton:
+    """The sign-change proof from the finish's values at x alone."""
+
+    @staticmethod
+    def at(a, nu, x, tol):
+        """_interval_newton's arguments for the bracket x -/+ 0.49 tol."""
+        num, den, j0, j1, _ = zeros._d_lead(a, nu, x)
+        dp = zeros._dprime_from_pair(a, nu, x, j0, j1)
+        return a, nu, x, x - 0.49 * tol, x + 0.49 * tol, num / den, dp, j0, j1
+
+    def test_bracket_straddling_a_zero_of_j(self):
+        # a = 100 puts omega_1 0.024 below j_{0,1}, inside a bracket of width 0.1
+        e = find_zeros(DiniFamily(100.0, Order(0.0)), 1, tol=0.1).entries[0]
+        assert e.lo < 2.404825557695773 < e.hi
+        assert zeros._interval_newton(*self.at(100.0, 0.0, e.zero, 0.1)) is True
+
+    @pytest.mark.parametrize("a,nu", [(0.001, -0.9999), (0.01, -0.999)])
+    def test_order_near_minus_one(self, a, nu):
+        e = find_zeros(DiniFamily(a, Order(nu)), 1).entries[0]
+        assert zeros._interval_newton(*self.at(a, nu, e.zero, 1e-12)) is True
+
+    def test_refuses_bracket_off_the_zero(self):
+        z = find_zeros(DiniFamily(1.0, Order(0.3)), 3).entries[2].zero
+        assert zeros._interval_newton(*self.at(1.0, 0.3, z, 1e-12)) is True
+        assert zeros._interval_newton(*self.at(1.0, 0.3, z + 10e-12, 1e-12)) is False
+
+    def test_refuses_vanishing_derivative(self):
+        z = find_zeros(DiniFamily(1.0, Order(0.3)), 1).entries[0].zero
+        args = self.at(1.0, 0.3, z, 1e-12)
+        assert zeros._interval_newton(*args[:6], 0.0, *args[7:]) is False
+
+    # At a = 1e308 D' overflows: +inf below j_{5,1} = 8.7715 and -inf above it
+    @pytest.mark.parametrize("x", [8.0, 9.3245])
+    def test_refuses_non_finite_derivative(self, x):
+        args = self.at(1e308, 5.0, x, 1e-12)
+        assert not math.isfinite(args[6])
+        assert zeros._interval_newton(*args) is False
+        for dp in (math.nan, math.inf, -math.inf):
+            assert zeros._interval_newton(*args[:5], 0.0, dp, *args[7:]) is False
+
+    def test_one_pass_per_zero(self, monkeypatch):
+        # the end check took two more _d_lead passes per zero, 3.2 in all
+        passes, d_lead = [], zeros._d_lead
+        monkeypatch.setattr(zeros, "_d_lead", lambda *args: passes.append(1) or d_lead(*args))
+        rng, found, used = random.Random(5), 0, 0
+        for _ in range(20):
+            fam = DiniFamily(rng.uniform(0.2, 5.0), Order(rng.uniform(-0.9, 15.0)))
+            passes.clear()
+            found += len(find_zeros(fam, rng.randint(1, 8), rng.choice((1e-12, 1e-8))))
+            used += len(passes)
+        assert found >= 80 and used <= 1.5 * found
+
+
 @settings(max_examples=40, derandomize=True, deadline=None)
 @given(a=st.floats(math.log(0.01), math.log(30.0)).map(math.exp),
        nu=st.floats(-0.99, 30.0, exclude_min=True), count=st.integers(1, 8))
@@ -386,6 +439,11 @@ class TestIsmailBound:
     def test_simple_substitution(self):
         assert ismail_lower_bound(DiniFamily(2.0, Order(0.0))) == pytest.approx(
             2.0, rel=1e-15)
+
+    @pytest.mark.parametrize("a", [1e308, 4.6e307])
+    def test_past_double_range(self, a):
+        # 4a(nu + 1) overflows; the bound read inf
+        assert ismail_lower_bound(DiniFamily(a, Order(5.0))) == 24.0
 
 
 class TestLandau:
