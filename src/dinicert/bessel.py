@@ -25,11 +25,12 @@ are two ways to sum it:
   values are not the nearest double; the worst is 0.998 ulp.  Zeros
   (zeros.py) keep the sums: a bracket is certified from D / lead, D' / lead
   and the pair over lead at the zero itself, and ``_lead`` is applied only to
-  the residual.
+  the residual, when it is first read.
 
 All state is local and mpmath's libmp primitives are pure functions of
 (value, precision), so every function here is safe to call from any
-number of threads.
+number of threads; the one value kept, a ``ZeroEntry``'s residual, is such
+a pure function too, so racing first reads agree.
 """
 
 from __future__ import annotations

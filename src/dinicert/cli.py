@@ -4,7 +4,8 @@ Handlers only compute: each returns (results, diagnostics, csv_header,
 csv_rows), and ``_output`` alone renders a JSON envelope {command, inputs,
 results, diagnostics, version} or, on ``--format csv`` or selftest without
 ``--json``, CSV lines (None as an empty cell).  Result dataclasses render
-field by field in declaration order, so their field names are the wire keys.
+their repr fields in declaration order, then their cached properties in class
+order, and those names are the wire keys.
 Floats print at up to 17 significant digits: byte-stable, exact round trip.
 Data goes to stdout, diagnostics to stderr.  Exit codes: 0 success, 1
 selftest failure, 2 validation error, 3 numeric failure.
@@ -62,9 +63,17 @@ def _render(obj, indent: int = 0) -> str:
         inner = ",\n".join(f"{pad}  {_render(v, indent + 1)}" for v in obj)
         return "[\n" + inner + "\n" + pad + "]"
     if dataclasses.is_dataclass(obj):
-        return _render({f.name: getattr(obj, f.name)
-                        for f in dataclasses.fields(obj)}, indent)
+        return _render({k: getattr(obj, k) for k in _wire_keys(type(obj))}, indent)
     raise TypeError(f"cannot serialize {type(obj).__name__}")
+
+
+@functools.cache
+def _wire_keys(cls) -> tuple[str, ...]:
+    """A result class's rendered names: its repr fields in declaration order,
+    then its cached properties in class order."""
+    return (tuple(f.name for f in dataclasses.fields(cls) if f.repr)
+            + tuple(k for k, v in vars(cls).items()
+                    if isinstance(v, functools.cached_property)))
 
 
 def _output(args, results, diagnostics: dict, header: list[str] | None,

@@ -47,15 +47,18 @@ opposite signs (lead, den > 0); over 12,000 seeded tables that took 213 of
 of it is in lead units, where an integer's sign neither rounds nor underflows
 and no value sees lead: J_400(40) = 1.5e-349, yet D_(2,400)'s first zero is
 certified.  The reported ``residual`` is |num lead / den| at x, with ``_lead``
-in libmp, rounded once: true units, 0.0 only where it underflows.  No
-certificate or residual depends on whether x <= 3.
+in libmp, rounded once: true units, 0.0 only where it underflows.  It is
+formed on first read (``ZeroEntry``), or by the residual gate's failure
+message, so a caller that never reads it pays no ``_lead``.  No certificate
+or residual depends on whether x <= 3.
 """
 
 from __future__ import annotations
 
 import math
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from functools import cached_property
 
 from mpmath.libmp import from_man_exp, mpf_mul, round_nearest, to_float
 
@@ -71,13 +74,27 @@ RESIDUAL_REL = 1e-10
 
 @dataclass(frozen=True)
 class ZeroEntry:
-    """One localized zero with its certified bracket and residual."""
+    """One localized zero with its certified bracket and residual.
+
+    ``_finish`` holds the finish's exact values at ``zero``: num, den's bit
+    length, nu and wp.  ``residual`` is formed from them on first read and
+    then kept, so a caller that never reads it, such as ``certify``, never
+    pays its libmp power and Gamma.  It is a pure function of ``_finish``
+    and ``zero``, so a concurrent first read at worst computes the same
+    value twice.  ``_finish`` takes no part in equality, hash or repr."""
 
     n: int
     zero: float
     lo: float
     hi: float
-    residual: float
+    _finish: tuple[int, int, float, int] = field(repr=False, compare=False)
+
+    @cached_property
+    def residual(self) -> float:
+        """|num lead / den| at zero, with ``_lead`` in libmp, rounded once."""
+        num, den_bits, nu, wp = self._finish
+        return abs(to_float(mpf_mul(from_man_exp(num, 1 - den_bits),
+                                    _lead(nu, self.zero, wp), 53, round_nearest)))
 
 
 @dataclass(frozen=True)
@@ -218,15 +235,14 @@ def _refine(family: DiniFamily, n: int, lo: float, hi: float, flo: float,
             f"bracket [{blo!r}, {bhi!r}] has no sign change; zero {n} could not "
             "be refined to a certified zero")
     scale = abs(a * j0) + abs(x * j1)
-    residual = abs(to_float(mpf_mul(from_man_exp(num, 1 - den.bit_length()),
-                                    _lead(nu, x, wp), 53, round_nearest)))
+    entry = ZeroEntry(n, x, blo, bhi, (num, den.bit_length(), nu, wp))
     if abs(dp) <= 1e-8 * scale:
         raise NumericFailure(
             f"derivative vanishes at refined zero x={x!r}; zero may not be simple")
     if abs(d) > RESIDUAL_REL * scale:
         raise NumericFailure(
-            f"residual {residual:.3e} exceeds {RESIDUAL_REL:g} * scale at x={x!r}")
-    return ZeroEntry(n, x, blo, bhi, residual)
+            f"residual {entry.residual:.3e} exceeds {RESIDUAL_REL:g} * scale at x={x!r}")
+    return entry
 
 
 def find_zeros(family: DiniFamily, count: int, tol: float = DEFAULT_TOL) -> ZeroTable:

@@ -3,11 +3,13 @@
 import functools
 import math
 import random
+import re
 
 import mpmath
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from mpmath.libmp import from_man_exp, mpf_mul, round_nearest, to_float
 
 from dinicert import (
     DiniFamily,
@@ -16,6 +18,8 @@ from dinicert import (
     Order,
     bessel_j,
     bessel_j_prime,
+    certify,
+    cli,
     dini_eval,
     dini_prime,
     find_zeros,
@@ -399,6 +403,54 @@ def test_residual_against_mpmath():
                 assert abs(e.residual - ref) <= 1e-3 * ref, (a, nu, e.n)
                 checked += 1
     assert checked >= 60
+
+
+class TestLazyResidual:
+    """The residual, the one value per zero that needs ``_lead``, is formed on
+    first read from the finish's exact values, with the same bits as the
+    eager |num lead / den| at the zero."""
+
+    def test_lead_only_where_a_residual_is_read(self, monkeypatch, capsys):
+        calls, lead = [], zeros._lead
+        monkeypatch.setattr(zeros, "_lead", lambda *args: calls.append(1) or lead(*args))
+        certify(DiniFamily(1.0, Order(0.3)))  # 12 zeros, none of them read
+        assert len(calls) == 0
+        assert cli.main(["zeros", "--a", "1", "--nu", "0.5", "--n", "5"]) == 0
+        assert len(calls) == 5
+        calls.clear()
+        e = find_zeros(DiniFamily(1.0, Order(0.5)), 1).entries[0]
+        assert e.residual == e.residual and len(calls) == 1
+
+    def test_bits_of_the_eager_residual(self):
+        rng, checked = random.Random(19), 0
+        for _ in range(20):
+            a = math.exp(rng.uniform(math.log(0.01), math.log(100.0)))
+            nu = rng.uniform(-0.99, 30.0)
+            try:
+                table = find_zeros(DiniFamily(a, Order(nu)), rng.randint(1, 8))
+            except NumericFailure as exc:
+                assert "sign changes of D_" in str(exc)
+                continue
+            for e in table.entries:
+                num, den, _, _, wp = zeros._d_lead(a, nu, e.zero)
+                eager = abs(to_float(mpf_mul(from_man_exp(num, 1 - den.bit_length()),
+                                             zeros._lead(nu, e.zero, wp), 53,
+                                             round_nearest)))
+                assert e.residual == eager, (a, nu, e.n)
+                other = zeros.ZeroEntry(e.n, e.zero, e.lo, e.hi, (1, 1, 0.0, 53))
+                assert other == e and hash(other) == hash(e) and repr(other) == repr(e)
+                checked += 1
+        assert checked >= 60
+
+    # No double x meets |D| <= 1e-10 scale at these (ROADMAP item 4)
+    @pytest.mark.parametrize("a, nu, count, message", [
+        (1e-6, -0.999999, 2,
+         "residual 2.676e-16 exceeds 1e-10 * scale at x=2.4048275164155424"),
+        (1e9, 3.0, 2, "residual 9.325e-08 exceeds 1e-10 * scale at x=6.380161889543822"),
+    ])
+    def test_residual_gate_message(self, a, nu, count, message):
+        with pytest.raises(NumericFailure, match=re.escape(message)):
+            find_zeros(DiniFamily(a, Order(nu)), count)
 
 
 class TestSmallestZero:
