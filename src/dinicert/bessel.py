@@ -1,11 +1,20 @@
 """Bessel functions of the first kind and the normalized family w_{a,nu}.
 
-Everything downstream needs J_nu(x) and J_{nu+1}(x) together, so the
-pair is one call, ``_j_pair``.  Both come from the ascending power series
-with the term-ratio recurrence; Gamma appears only in the leading term,
-so no coefficient overflows.  The series alternates and its largest term
-grows like e^x, so it loses about 0.43*x digits to cancellation.  There
-are two ways to sum it:
+Three evaluators give J_nu(x) and J_{nu+1}(x) together:
+
+- ``_j_ratio``, (J_mu, J_{mu+1}) / |J_mu| for mu = nu or nu + 1, by a backward
+  continued fraction in doubles: the zero scan and Newton, and
+  rho = J_{nu+2}(1) / J_{nu+1}(1) for certify's modulus test and nu_a;
+- ``_j_sums``, the integer sums of one fixed-point pass over J_nu's leading
+  term: each zero's finish and certificate (``zeros._d_lead``), and
+  ``_j_pair`` beyond the double path;
+- ``_j_pair``, the pair itself: the public J, J', D and D', the closed sum S,
+  the critical equation and nu_a's certificate, and Newton for subnormal a.
+
+``_j_pair`` sums the ascending power series with the term-ratio
+recurrence; Gamma appears only in the leading term, so no coefficient
+overflows.  The series alternates and its largest term grows like e^x, so
+it loses about 0.43*x digits to cancellation.  There are two ways to sum it:
 
 - doubles, for x <= 3: both orders in one loop (the second's leading term
   is the first's times (x/2)/(nu + 1)), kept when in each the largest term
@@ -22,10 +31,7 @@ are two ways to sum it:
   result to a double, so results are faithfully rounded (error below
   1 ulp), not always correctly rounded: against 40-digit mpmath at 300
   random points with nu in (-1, 100] and x in (3, 60], 288 of the 600
-  values are not the nearest double; the worst is 0.998 ulp.  Zeros
-  (zeros.py) keep the sums: a bracket is certified from D / lead, D' / lead
-  and the pair over lead at the zero itself, and ``_lead`` is applied only to
-  the residual, when it is first read.
+  values are not the nearest double; the worst is 0.998 ulp.
 
 All state is local and mpmath's libmp primitives are pure functions of
 (value, precision), so every function here is safe to call from any

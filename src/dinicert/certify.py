@@ -18,15 +18,15 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cache
 
 import numpy as np
 
 from .bessel import _j_ratio, _unit_roots, _w_polar
-from .criterion import BOUNDARY_BAND, SumCriterion, _check_n_terms, evaluate_criterion, sum_closed
-from .errors import DomainError, NumericFailure, PoleError
+from .criterion import BOUNDARY_BAND, SumCriterion, _check_n_terms, _criterion, _tail_mass, sum_closed
+from .errors import NumericFailure, PoleError
 from .families import DiniFamily
-from .zeros import ZeroTable, find_zeros, ismail_lower_bound
+from .zeros import ZeroTable, find_zeros
 
 GRID_RADII = 64
 GRID_ANGLES = 720
@@ -75,31 +75,26 @@ def default_radii(count: int = GRID_RADII, max_radius: float = GRID_MAX_RADIUS) 
     return [max_radius * (k + 1) / count for k in range(count)]
 
 
-@lru_cache(maxsize=4)
-def _polar_grid(radii: tuple[float, ...], m: int) -> np.ndarray:
-    """The disk checks' polar grid r e^(2 pi i j / m), built once per
-    (radii, m) and read-only, as every caller shares it.  For an even m only
-    theta in [0, pi]; an odd m samples the full circle."""
-    z = np.asarray(radii, dtype=float)[:, None] * _unit_roots(m)[:m // 2 + 1 if m % 2 == 0 else m]
+@cache
+def _polar_grid(count: int, max_radius: float, m: int) -> tuple[tuple[float, ...], np.ndarray]:
+    """``default_radii(count, max_radius)`` and the half grid r e^(2 pi i j / m),
+    j <= m / 2 (m even), on them: built on first use, once per process, and
+    read-only.  Callers that never sample the disk never build it."""
+    radii = tuple(default_radii(count, max_radius))
+    z = np.asarray(radii)[:, None] * _unit_roots(m)[:m // 2 + 1]
     z.flags.writeable = False
-    return z
+    return radii, z
 
 
-def starlike_sample(family: DiniFamily, radii, angles_count: int) -> float:
-    """Minimum of Re(z w'(z) / w(z)) over the polar grid.
+def starlike_sample(family: DiniFamily) -> float:
+    """Minimum of Re(z w'(z) / w(z)) over certify's 64 x 720 polar grid.
 
     The series has real coefficients, so the functional is symmetric in
-    theta -> -theta; for an even angle count only theta in [0, pi] is
-    evaluated, which covers the full grid's minimum exactly.
+    theta -> -theta; only theta in [0, pi] is evaluated, which covers the
+    full grid's minimum exactly.
     """
-    radii = tuple(float(r) for r in radii)
-    if not radii or min(radii) <= 0.0 or max(radii) >= 1.0:
-        raise DomainError("radii must be a nonempty list inside (0, 1)")
-    m = int(angles_count)
-    if m < 4:
-        raise DomainError("angles_count must be at least 4")
-    z = _polar_grid(radii, m)
-    p, q, x, y = _w_polar(family.a, family.nu, radii, m, z.shape[1])
+    radii, z = _polar_grid(GRID_RADII, GRID_MAX_RADIUS, GRID_ANGLES)
+    p, q, x, y = _w_polar(family.a, family.nu, radii, GRID_ANGLES, z.shape[1])
     x *= p
     x += np.multiply(y, q, out=y)  # Re(z w' conj(w))
     p *= p
@@ -112,30 +107,26 @@ def starlike_sample(family: DiniFamily, radii, angles_count: int) -> float:
 
 
 def factorization_check(family: DiniFamily, n_zeros: int = 18,
-                        max_radius: float = 0.9, n_radii: int = 16,
-                        n_angles: int = 96,
                         table: ZeroTable | None = None) -> FactorizationCheck:
-    """Compare the w series against z * prod_{n<=N} (1 - z / omega_n^2).
+    """Compare the w series against z * prod_{n<=N} (1 - z / omega_n^2)
+    on a 16 x 96 polar grid on |z| <= 0.9.
 
     They differ by the factor prod_{n>N} (1 - z/omega_n^2), within
     expm1(|z| (T - P_N)) of 1, where T - P_N = sum_{n>N} 1/omega_n^2 exactly
     (T and P_N as in ``sum_truncated``).  So the deviation must stay below
-    C expm1(|z|_max (T - P_N)), C the max modulus of the partial product on
-    ``_polar_grid``; the first-order C |z|_max (T - P_N) would not hold.
+    C expm1(0.9 (T - P_N)), C the max modulus of the partial product on the
+    grid; the first-order C 0.9 (T - P_N) would not hold.
     """
     n_zeros = _check_n_terms(n_zeros)
-    if not 0.0 < max_radius < 1.0:
-        raise DomainError("max_radius must lie in (0, 1)")
     if table is None or len(table) < n_zeros:
         table = find_zeros(family, max(n_zeros, 1))
     zs = np.array(table.zeros[:n_zeros])
-    radii = tuple(default_radii(n_radii, max_radius))
-    z = _polar_grid(radii, n_angles)
-    p, q = _w_polar(family.a, family.nu, radii, n_angles, z.shape[1], derivative=False)
+    radii, z = _polar_grid(16, 0.9, 96)
+    p, q = _w_polar(family.a, family.nu, radii, 96, z.shape[1], derivative=False)
     prod = z * np.prod(1.0 - z[..., None] / (zs * zs), axis=-1)
     deviation = float(np.max(np.hypot(p - prod.real, q - prod.imag)))
-    tail_sum = 1.0 / ismail_lower_bound(family) - math.fsum(1.0 / (zs * zs))
-    envelope = float(np.max(np.abs(prod))) * math.expm1(max_radius * tail_sum)
+    tail_mass = _tail_mass(family, table.zeros[:n_zeros])
+    envelope = float(np.max(np.abs(prod))) * math.expm1(0.9 * tail_mass)
     return FactorizationCheck(n_zeros, deviation, envelope)
 
 
@@ -160,30 +151,18 @@ def certify(family: DiniFamily, zero_count: int = 12) -> CertReport:
     # decide that first so the verdict does not hinge on which side of 1
     # the refined zero happens to round to.
     try:
-        sum_closed(family)
+        s = sum_closed(family)
     except PoleError:
-        omega1 = find_zeros(family, 1).entries[0].zero
-        return CertReport(family, VERDICT_BOUNDARY, None, omega1 - 1.0, None,
-                          grid, zero_at_unit_radius=True)
-
+        s = None
     a, nu = family.a, family.nu
-    if a * (2.0 * nu + 2.0 - _j_ratio(nu)[1]) - 1.0 <= 0.0:
-        omega1 = find_zeros(family, 1).entries[0].zero
-        return CertReport(family, VERDICT_INAPPLICABLE, None,
-                          omega1 - 1.0, None, grid)
-
-    table = find_zeros(family, max(zero_count, 1))
+    no_sum = s is None or a * (2.0 * nu + 2.0 - _j_ratio(nu)[1]) - 1.0 <= 0.0
+    table = find_zeros(family, 1 if no_sum else max(zero_count, 1))
     margin = table.entries[0].zero - 1.0
+    if no_sum:
+        return CertReport(family, VERDICT_BOUNDARY if s is None else VERDICT_INAPPLICABLE,
+                          None, margin, None, grid, zero_at_unit_radius=s is None)
 
-    crit = evaluate_criterion(family, n_terms=zero_count, table=table)
-
-    min_re = starlike_sample(family, default_radii(grid.radii, grid.max_radius),
-                             grid.angles)
-    s = crit.closed_value
-    if abs(s - 1.0) <= BOUNDARY_BAND:
-        verdict = VERDICT_BOUNDARY
-    elif s <= 1.0:
-        verdict = VERDICT_CERTIFIED
-    else:
-        verdict = VERDICT_REFUTED
-    return CertReport(family, verdict, crit, margin, min_re, grid)
+    verdict = (VERDICT_BOUNDARY if abs(s - 1.0) <= BOUNDARY_BAND
+               else VERDICT_CERTIFIED if s <= 1.0 else VERDICT_REFUTED)
+    return CertReport(family, verdict, _criterion(family, s, zero_count, table), margin,
+                      starlike_sample(family), grid)

@@ -187,6 +187,8 @@ def _cmd_boundary(args):
     m = args.samples
     if m < 1:
         raise DomainError("samples must be positive")
+    if m > 65536:
+        raise DomainError("samples must be at most 65536")
     thetas = np.array([2.0 * math.pi * k / m for k in range(m)])
     z_unit = np.exp(1j * thetas)
     z_inner = 0.99 * z_unit
@@ -265,7 +267,7 @@ def _parser() -> argparse.ArgumentParser:
     bd = command("boundary", _cmd_boundary, "w on |z|=1 and Re(z w'/w) at r=0.99",
                  family)
     bd.add_argument("--samples", type=int, default=64,
-                    help="number of angular samples (default 64)")
+                    help="number of angular samples, at most 65536 (default 64)")
     for q in (zeros, sum_, crit, cert, ev, bd):
         q.add_argument("--format", choices=("json", "csv"), default="json",
                        help="output format (default json)")

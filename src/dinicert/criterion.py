@@ -84,15 +84,19 @@ def _check_n_terms(n_terms: int) -> int:
     return n_terms
 
 
+def _tail_mass(family: DiniFamily, zeros) -> float:
+    """T - P_N = sum_{n>N} 1/omega_n^2 after the first N zeros ``zeros``."""
+    return 1.0 / ismail_lower_bound(family) - math.fsum(1.0 / (z * z) for z in zeros)
+
+
 def _truncated_from_table(table: ZeroTable, n_terms: int) -> tuple[float, float]:
     zs = table.zeros
     if zs[0] <= 1.0:
         raise NumericFailure(
             "smallest zero does not exceed 1; truncated criterion inapplicable")
     value = math.fsum(1.0 / (z * z - 1.0) for z in zs[:n_terms])
-    p = math.fsum(1.0 / (z * z) for z in zs[:n_terms])
     m = zs[max(n_terms, 1) - 1] ** 2
-    return value, (1.0 / ismail_lower_bound(table.family) - p) * m / (m - 1.0)
+    return value, _tail_mass(table.family, zs[:n_terms]) * m / (m - 1.0)
 
 
 def sum_truncated(family: DiniFamily, n_terms: int) -> tuple[float, float]:
@@ -121,7 +125,12 @@ def evaluate_criterion(family: DiniFamily, n_terms: int = 12,
     first zero does not exceed 1.
     """
     n_terms = _check_n_terms(n_terms)
-    closed = sum_closed(family)
+    return _criterion(family, sum_closed(family), n_terms, table)
+
+
+def _criterion(family: DiniFamily, closed: float, n_terms: int,
+               table: ZeroTable | None) -> SumCriterion:
+    """``evaluate_criterion`` from its closed sum ``closed`` on."""
     try:
         if table is None or len(table) < max(n_terms, 1):
             table = find_zeros(family, max(n_terms, 1))

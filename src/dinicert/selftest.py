@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .bessel import bessel_j, oracle_closed_form, w_eval
-from .certify import certify, factorization_check, starlike_sample, default_radii
+from .certify import certify, factorization_check, starlike_sample
 from .criterion import critical_order, evaluate_criterion, sum_closed
 from .errors import DomainError
 from .families import DiniFamily, Order
@@ -234,7 +234,7 @@ def _check_starlike_certified(ctx):
                 mins.append(rep.min_re_starlike)
     for fam, table, crit in _random_families(ctx):
         if crit.closed_value <= 1.0 - 1e-9:
-            mins.append(starlike_sample(fam, default_radii(), 720))
+            mins.append(starlike_sample(fam))
     ok = all(m is not None and m > 0.0 for m in mins)
     return ok, (f"min Re(z w'/w) over 64x720 grid positive for all "
                 f"{len(mins)} certified families; smallest {min(mins):.6f}")

@@ -23,9 +23,11 @@ from dinicert import (
     starlike_sample,
     w_eval,
 )
-from dinicert import bessel
-from dinicert.bessel import _w_polar, _w_sum
+from dinicert import bessel, criterion
+from dinicert.bessel import _unit_roots, _w_polar, _w_sum
 from dinicert.certify import _polar_grid, default_radii
+
+certify_module = importlib.import_module("dinicert.certify")
 
 NU_POLE_A1 = -0.3400924939228838
 
@@ -97,6 +99,35 @@ class TestVerdicts:
         with pytest.raises(DomainError, match=r"n_terms must lie in \[0, 18\]"):
             certify(fam(1.0, nu), zero_count=n)
 
+    def test_one_closed_sum_per_verdict(self, monkeypatch):
+        # the pole probe's S is the reported one: one J pair at x = 1
+        calls, pair = [], criterion._j_pair
+        def spy(nu, x):
+            calls.append(x)
+            return pair(nu, x)
+        monkeypatch.setattr(criterion, "_j_pair", spy)
+        rep = certify(fam(1.0, 0.3))
+        assert rep.verdict == "refuted"
+        assert calls == [1.0]
+
+    @pytest.mark.parametrize("a, nu, verdict", [(1.0, 0.3, "refuted"),
+                                                (1.0, -0.5, "inapplicable"),
+                                                (1.0, 200.0, "boundary")])
+    def test_one_zero_table_per_verdict(self, monkeypatch, a, nu, verdict):
+        # refuted, inapplicable and the pole route each localise zeros once;
+        # (1, 200) takes the pole route while J_200(1) underflows, so
+        # sum_closed raises PoleError, although omega_1 ~ 20
+        sizes, find = [], certify_module.find_zeros
+        def spy(family, n, *args, **kwargs):
+            sizes.append(n)
+            return find(family, n, *args, **kwargs)
+        monkeypatch.setattr(certify_module, "find_zeros", spy)
+        monkeypatch.setattr(criterion, "find_zeros", spy)
+        rep = certify(fam(a, nu))
+        assert rep.verdict == verdict
+        assert rep.zero_at_unit_radius == (nu == 200.0)
+        assert sizes == ([12] if verdict == "refuted" else [1])
+
     def test_enclosure_attached(self):
         rep = certify(fam(2.0, 1.0))
         sc = rep.sum_criterion
@@ -125,12 +156,12 @@ def test_verdict_against_mpmath(a, nu):
 
 class TestStarlikeSample:
     def test_functional_tends_to_one_at_origin(self):
-        val = starlike_sample(fam(1.0, 0.5), [1e-3], 8)
-        assert val == pytest.approx(1.0, abs=1e-3)
+        p, q, x, y = _w_polar(1.0, 0.5, (1e-3,), 8, 5)
+        val = (x * p + y * q) / (p * p + q * q)
+        assert np.all(np.abs(val - 1.0) <= 1e-3)
 
     def test_certified_family_positive(self):
-        radii = [0.99 * (k + 1) / 16 for k in range(16)]
-        assert starlike_sample(fam(1.0, 0.5), radii, 64) > 0.0
+        assert starlike_sample(fam(1.0, 0.5)) > 0.0
 
     def test_conjugate_symmetry_exact(self):
         from dinicert import w_prime_eval
@@ -142,36 +173,26 @@ class TestStarlikeSample:
             func_m = (zm * w_prime_eval(f, zm) / w_eval(f, zm)).real
             assert abs(func_p - func_m) <= 1e-14
 
-    def test_validation(self):
-        with pytest.raises(DomainError):
-            starlike_sample(fam(1.0, 0.5), [], 16)
-        with pytest.raises(DomainError):
-            starlike_sample(fam(1.0, 0.5), [1.0], 16)
-        with pytest.raises(DomainError):
-            starlike_sample(fam(1.0, 0.5), [0.5], 2)
-
     def test_cached_grid_is_read_only(self):
-        z = _polar_grid(tuple(default_radii()), 720)
-        assert z.shape == (64, 361)
-        assert not z.flags.writeable
-        with pytest.raises(ValueError):
-            z[0, 0] = 0.5
-
-    def test_grid_follows_mutated_radii(self):
-        f = fam(1.3, 0.4)
-        radii = [0.2, 0.5, 0.9]
-        first = starlike_sample(f, radii, 16)
-        radii[-1] = 0.95
-        again = starlike_sample(f, radii, 16)
-        _polar_grid.cache_clear()
-        assert again == starlike_sample(f, list(radii), 16)
-        assert again != first
+        for spec, shape in (((64, 0.99, 720), (64, 361)), ((16, 0.9, 96), (16, 49))):
+            radii, z = _polar_grid(*spec)
+            assert radii == tuple(default_radii(*spec[:2]))
+            assert _polar_grid(*spec)[1] is z
+            assert z.shape == shape
+            assert not z.flags.writeable
+            with pytest.raises(ValueError):
+                z[0, 0] = 0.5
 
     def test_grid_fault_on_interior_zero(self):
-        f = fam(1.0, -0.5)  # first w zero at omega_1^2 ~ 0.74, inside the disk
-        z0 = find_zeros(f, 1, tol=1e-14).zeros[0] ** 2
+        # a = x J_{3/2}(x) / J_{1/2}(x) at x^2 = 0.495 puts omega_1^2 on the
+        # grid's 32nd radius, 0.99 * 32 / 64, at theta = 0
+        with mpmath.workdps(40):
+            x = mpmath.sqrt(mpmath.mpf("0.495"))
+            a = float(x * mpmath.besselj(1.5, x) / mpmath.besselj(0.5, x))
+        assert default_radii()[31] == 0.495
+        assert find_zeros(fam(a, 0.5), 1).zeros[0] ** 2 == pytest.approx(0.495, rel=1e-14)
         with pytest.raises(NumericFailure, match="grid fault"):
-            starlike_sample(f, [z0], 8)
+            starlike_sample(fam(a, 0.5))
 
 
 def functional_mp(a, nu, r, j, m):
@@ -201,11 +222,11 @@ def test_polar_sum_against_mpmath(log_a, nu, points):
     more points, is within the pointwise series' error of 50-digit mpmath, or
     within twice the rounding scale (both sums keep to about 1.7 scales)."""
     a, radii = 10.0 ** log_a, tuple(default_radii())
-    z = _polar_grid(radii, 720)
+    z = _polar_grid(64, 0.99, 720)[1]
     p, q, x, y = _w_polar(a, nu, radii, 720, z.shape[1])
     new = (x * p + y * q) / (p * p + q * q)
     old = np.real(z * _w_sum(a, nu, z, True) / _w_sum(a, nu, z, False))
-    assert starlike_sample(fam(a, nu), radii, 720) == new.min()
+    assert starlike_sample(fam(a, nu)) == new.min()
     argmin = np.unravel_index(int(np.argmin(new)), new.shape)
     for i, j in [argmin, *points]:
         ref, scale = functional_mp(a, nu, radii[i], int(j), 720)
@@ -219,16 +240,17 @@ def test_polar_sum_against_mpmath(log_a, nu, points):
 def test_polar_sum_grid_shapes(radii, m):
     """An odd angle count (the full circle), decreasing radii and one tiny
     radius: w and z w' match the pointwise series at every point, within
-    rounding of their terms, whose moduli sum to below 3 |z| here, and
-    starlike_sample is the functional's minimum."""
+    rounding of their terms, whose moduli sum to below 3 |z| here, and so
+    does the functional starlike_sample minimises."""
     a, nu, radii = 1.3, 0.4, tuple(radii)
-    z = _polar_grid(radii, m)
-    p, q, x, y = _w_polar(a, nu, radii, m, z.shape[1])
-    assert p.shape == z.shape == (len(radii), m // 2 + 1 if m % 2 == 0 else m)
+    count = m // 2 + 1 if m % 2 == 0 else m
+    z = np.asarray(radii)[:, None] * _unit_roots(m)[:count]
+    p, q, x, y = _w_polar(a, nu, radii, m, count)
+    assert p.shape == z.shape == (len(radii), count)
     w, zwp = _w_sum(a, nu, z, False), z * _w_sum(a, nu, z, True)
     assert np.all(np.abs(p + 1j * q - w) <= 4e-15 * np.abs(z))
     assert np.all(np.abs(x + 1j * y - zwp) <= 4e-15 * np.abs(z))
-    value = starlike_sample(fam(a, nu), radii, m)
+    value = float(np.min((x * p + y * q) / (p * p + q * q)))
     assert value == pytest.approx(float(np.min(np.real(zwp / w))), abs=1e-15)
 
 
@@ -239,8 +261,7 @@ def test_disk_checks_never_sum_pointwise(monkeypatch):
         raise AssertionError("_w_sum called")
     for mod in (bessel, importlib.import_module("dinicert.certify")):
         monkeypatch.setattr(mod, "_w_sum", spy, raising=False)
-    assert starlike_sample(fam(1.3, 0.4), default_radii(), 720) > 0.0
-    assert starlike_sample(fam(1.3, 0.4), [0.5, 0.9], 7) > 0.0
+    assert starlike_sample(fam(1.3, 0.4)) > 0.0
     assert factorization_check(fam(2.0, 1.0), n_zeros=6).within_envelope
     assert certify(fam(1.0, 0.5)).min_re_starlike > 0.0
 
@@ -270,8 +291,7 @@ class TestFactorization:
         radii = [0.9 * (k + 1) / 16 for k in range(16)]
         thetas = [2.0 * math.pi * j / 96 for j in range(49)]
         by_hand = np.asarray(radii)[:, None] * np.exp(1j * np.asarray(thetas)[None, :])
-        assert np.array_equal(_polar_grid(tuple(default_radii(16, 0.9)), 96), by_hand)
-        assert _polar_grid(tuple(default_radii(16, 0.9)), 7).shape == (16, 7)
+        assert np.array_equal(_polar_grid(16, 0.9, 96)[1], by_hand)
 
     def test_deviation_shrinks_with_more_zeros(self, table18):
         devs = [factorization_check(fam(2.0, 1.0), n_zeros=n, table=table18,
@@ -282,10 +302,6 @@ class TestFactorization:
 
     def test_vanishes_at_origin(self):
         assert w_eval(fam(2.0, 1.0), 0.0) == 0.0
-
-    def test_validation(self):
-        with pytest.raises(DomainError):
-            factorization_check(fam(1.0, 0.5), n_zeros=4, max_radius=1.5)
 
     @pytest.mark.parametrize("n", [-1, 19])
     @pytest.mark.parametrize("with_table", [False, True])

@@ -90,6 +90,15 @@ class TestExitCodes:
         assert run_inproc(["selftest", "--only", ","]) == (
             2, "", "error: no check ids selected\n")
 
+    @pytest.mark.parametrize("samples", ["65537", "2000000000"])
+    def test_boundary_samples_bounded(self, monkeypatch, samples):
+        # 2e9 samples once meant a list of 2e9 angles and tens of GB of w
+        def no_w(*args):
+            raise AssertionError("w evaluated")
+        monkeypatch.setattr(cli, "w_eval", no_w)
+        argv = ["boundary", "--a", "1", "--nu", "0.5", "--samples", samples]
+        assert run_inproc(argv) == (2, "", "error: samples must be at most 65536\n")
+
     def test_parser_built_once(self):
         assert cli._parser() is cli._parser()
 
