@@ -3,13 +3,13 @@
 Three evaluators give J_nu(x) and J_{nu+1}(x) together:
 
 - ``_j_ratio``, (J_mu, J_{mu+1}) / |J_mu| for mu = nu or nu + 1, by a backward
-  continued fraction in doubles: the zero scan and Newton, and
+  continued fraction in doubles: the zero scan and Halley, and
   rho = J_{nu+2}(1) / J_{nu+1}(1) for certify's modulus test and nu_a;
 - ``_j_sums``, the integer sums of one fixed-point pass over J_nu's leading
   term: each zero's finish and certificate (``zeros._d_lead``), and
   ``_j_pair`` beyond the double path;
 - ``_j_pair``, the pair itself: the public J, J', D and D', the closed sum S,
-  the critical equation and nu_a's certificate, and Newton for subnormal a.
+  the critical equation and nu_a's certificate, and Halley for subnormal a.
 
 ``_j_pair`` sums the ascending power series with the term-ratio
 recurrence; Gamma appears only in the leading term, so no coefficient

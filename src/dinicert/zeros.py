@@ -16,24 +16,29 @@ J_nu changes sign and sign D = sign J_nu (a - y > 0) at its left end; such a
 step is halved.  The scan starts at half the square root of the Ismail bound,
 below omega_1, where D > 0 and J_nu > 0, or at x = 60, where its last step ends.
 
-The scan and Newton take D up to a positive factor from ``_j_ratio``'s
+The scan and Halley take D up to a positive factor from ``_j_ratio``'s
 (s, s r) = (J_nu, J_{nu+1}) / |J_nu|.  Its s = sign J_nu errs only within
 rounding of a zero of J_nu, where r flips with it and keeps sign D right (at
 2,100 doubles within 3 ulp of such zeros s erred at 50, sign D at none of
 6,300 checks, a in {0.01, 1, 100}); so the halving rule can miss only a Dini
 zero within about (x + 8) eps of j_{nu,k}, which needs a >~ 1e14, far above
 the 2.8e6 past which the certificate fails.  For a subnormal a, which a - x r
-cannot resolve, Newton takes ``_j_pair`` (doubles, for x <= 3): else a = 5e-324,
+cannot resolve, Halley takes ``_j_pair`` (doubles, for x <= 3): else a = 5e-324,
 nu = -0.9999999999999999 fails at x = 2.85e-170, not omega_1 = 3.3e-170.
 
-Refinement.  Bracket-safeguarded Newton from the middle of the scan step runs
-until its step or the bracket is one ulp of x; a rejected step bisects,
-geometrically across more than a factor 4.  The finish takes ``_d_lead``, one
-fixed-point pass, at x: D / lead = num / den exactly, num = an s0 + 2 ad s1 and
-den = ad 2^prec for a = an / ad, so d = num / den rounds once.  Up to two Newton
-steps on d move x, bounded by the scan step, not by the Newton bracket, whose
-ends took sign D from rounded values.  Against 40-digit mpmath the worst of
-1,690 zeros (200 random tables and the zero-tables benchmark inputs) is 0.4998 ulp.
+Refinement.  Bracket-safeguarded Halley starts at the shorter step from the
+scan step's end values that lands inside, else (and for a subnormal a) at the
+middle.  D'' comes from the Bessel equation; Halley's c = 1 - D D'' / (2 D'^2)
+is taken in (0.5, 2) only, else Newton's step.  It stops at a Newton step or
+bracket of one ulp of x, or after a step <= 1e-6 x that shrank 1000-fold (steps
+of x / (nu + 2), where D ~ x^(nu+2), do not), leaving the rest to the finish; a
+rejected step bisects, geometrically across more than a factor 4.  The finish
+takes ``_d_lead``, one fixed-point pass, at x: D / lead = num / den exactly,
+num = an s0 + 2 ad s1 and den = ad 2^prec for a = an / ad, so d = num / den
+rounds once.  Up to two Newton steps on d move x, bounded by the scan step, not
+by the Newton bracket, whose ends took sign D from rounded values.  Against
+40-digit mpmath the worst of 1,690 zeros (200 random tables and the zero-tables
+benchmark inputs) is 0.4998 ulp.
 
 Certificate.  The bracket [x - 0.49 tol, x + 0.49 tol] must round to width
 <= tol inside x > 0, D must change sign across it, and at x |D'| > 1e-8 scale
@@ -42,15 +47,17 @@ The sign change is proved from the finish's own values at x by an interval
 Newton test (Moore, Interval Analysis, 1966; ``_interval_newton``): D' keeps
 its sign across the bracket and carries D past 0 inside it.  Where that test
 does not decide, ``_d_lead``'s integer numerators at the two ends must have
-opposite signs (lead, den > 0); over 12,000 seeded tables that took 213 of
-43,914 brackets, each at nu^2 / x^2 > 1,500, and none of the benchmark's.  All
-of it is in lead units, where an integer's sign neither rounds nor underflows
-and no value sees lead: J_400(40) = 1.5e-349, yet D_(2,400)'s first zero is
-certified.  The reported ``residual`` is |num lead / den| at x, with ``_lead``
-in libmp, rounded once: true units, 0.0 only where it underflows.  It is
-formed on first read (``ZeroEntry``), or by the residual gate's failure
-message, so a caller that never reads it pays no ``_lead``.  No certificate
-or residual depends on whether x <= 3.
+opposite signs (lead, den > 0).  Where a finish step moves x to x', x' needs no
+pass if x lies in its bracket and, with E = eta + err of that test: the test
+passes; |d + dp dx| + E |dx| is under half the residual gate and |dp| - E over
+twice the derivative gate; and 2 E |dx| / (0.49 tol) <= scale / 4, as |scale'|
+<= 2 eta / delta.  All of it is in lead units, where an integer's sign neither
+rounds nor underflows and no value sees lead: J_400(40) = 1.5e-349, yet
+D_(2,400)'s first zero is certified.  The reported ``residual`` is
+|num lead / den| at x, with ``_lead`` in libmp, rounded once: true units, 0.0
+only where it underflows.  It is formed on first read (``ZeroEntry``), or by
+the residual gate's failure message, so a caller that never reads it pays no
+``_lead``.  No certificate or residual depends on whether x <= 3.
 """
 
 from __future__ import annotations
@@ -76,23 +83,27 @@ RESIDUAL_REL = 1e-10
 class ZeroEntry:
     """One localized zero with its certified bracket and residual.
 
-    ``_finish`` holds the finish's exact values at ``zero``: num, den's bit
-    length, nu and wp.  ``residual`` is formed from them on first read and
-    then kept, so a caller that never reads it, such as ``certify``, never
-    pays its libmp power and Gamma.  It is a pure function of ``_finish``
-    and ``zero``, so a concurrent first read at worst computes the same
-    value twice.  ``_finish`` takes no part in equality, hash or repr."""
+    ``_finish`` holds the finish's exact values at ``zero`` (num, den's bit
+    length, nu, wp), or (a, nu) where the pass before certified it.  The first
+    read forms ``residual`` from them, after a pass at ``zero`` in that case,
+    with the same bits either way, and keeps it: a caller that never reads it,
+    such as ``certify``, pays neither.  A concurrent first read at worst forms
+    it twice.  ``_finish`` takes no part in equality, hash or repr."""
 
     n: int
     zero: float
     lo: float
     hi: float
-    _finish: tuple[int, int, float, int] = field(repr=False, compare=False)
+    _finish: tuple = field(repr=False, compare=False)
 
     @cached_property
     def residual(self) -> float:
         """|num lead / den| at zero, with ``_lead`` in libmp, rounded once."""
-        num, den_bits, nu, wp = self._finish
+        finish = self._finish
+        if len(finish) == 2:  # (a, nu): no pass was made at zero
+            num, den, _, _, wp = _d_lead(*finish, self.zero)
+            finish = (num, den.bit_length(), finish[1], wp)
+        num, den_bits, nu, wp = finish
         return abs(to_float(mpf_mul(from_man_exp(num, 1 - den_bits),
                                     _lead(nu, self.zero, wp), 53, round_nearest)))
 
@@ -191,26 +202,39 @@ def _interval_newton(a: float, nu: float, x: float, blo: float, bhi: float,
     return math.isfinite(dp) and abs(d) + math.ulp(d) < (abs(dp) - err - eta) * h
 
 
-def _refine(family: DiniFamily, n: int, lo: float, hi: float, flo: float,
-            tol: float) -> ZeroEntry:
-    """Zero number n in the scan step (lo, hi), where D is flo at lo, refined
-    and certified as the module docstring describes."""
+def _halley(a: float, nu: float, x: float, j0: float, j1: float) -> tuple[float, float, float]:
+    """(D, t = D / D', Halley's step) up to a positive factor from the pair at x."""
+    d, dp = _d_from_pair(a, x, j0, j1), _dprime_from_pair(a, nu, x, j0, j1)
+    q, g = (nu / x) * (nu / x), a - nu
+    ddp = (nu * nu / x - x - g / x) * (nu / x * j0 - j1) - (g * (1.0 - q) + 1.0 + q) * j0
+    t, c = (d / dp, 1.0 - 0.5 * d / dp * ddp / dp) if dp != 0.0 else (math.inf, 0.0)
+    return d, t, t / c if 0.5 < c < 2.0 else t
+
+
+def _refine(family: DiniFamily, n: int, lo: float, hi: float, jlo: tuple[float, float],
+            jhi: tuple[float, float], tol: float) -> ZeroEntry:
+    """Zero number n in the scan step (lo, hi), where ``_j_ratio`` gave jlo and
+    jhi, refined and certified as the module docstring describes."""
     a, nu = family.a, family.nu
-    slo, step_lo, step_hi = _sign(flo), lo, hi
+    slo, step_lo, step_hi = _sign(_d_from_pair(a, lo, *jlo)), lo, hi
     by_pair = a < sys.float_info.min  # a - x r ~ a near the zero
-    x = 0.5 * (lo + hi)
+    x, prev = 0.5 * (lo + hi), math.inf
+    for end, j in () if by_pair else ((lo, jlo), (hi, jhi)):
+        if lo < (y := end - _halley(a, nu, end, *j)[2]) < hi and abs(y - end) < prev:
+            x, prev = y, abs(y - end)
     for _ in range(100):
-        j0, j1 = _j_pair(nu, x) if by_pair else _j_ratio(nu, x, 0)
-        d, dp = _d_from_pair(a, x, j0, j1), _dprime_from_pair(a, nu, x, j0, j1)
+        d, t, step = _halley(a, nu, x, *(_j_pair(nu, x) if by_pair else _j_ratio(nu, x, 0)))
         lo, hi = (x, hi) if _sign(d) == slo else (lo, x)
-        step = d / dp if dp != 0.0 else math.inf
         # Tested before the safeguard, which would bisect on a converged
         # step that rounds x - step onto the endpoint x has just become.
-        if min(abs(step), hi - lo) <= math.ulp(x):
+        if min(abs(t), hi - lo) <= math.ulp(x):
             break
         x -= step
-        if not lo < x < hi:  # bisect, geometrically across decades
-            x = math.sqrt(lo) * math.sqrt(hi) if hi > 4.0 * lo else 0.5 * (lo + hi)
+        if not lo < x < hi:  # bisect, geometrically across decades; step = inf resets prev
+            x, step = math.sqrt(lo) * math.sqrt(hi) if hi > 4.0 * lo else 0.5 * (lo + hi), math.inf
+        elif abs(step) <= 1e-6 * x and abs(step) <= 1e-3 * prev:
+            break  # converged: the finish's exact step takes the last ulp or so
+        prev = abs(step)
     else:
         raise NumericFailure(f"Newton did not converge near x={x!r}; zero {n} "
                              "could not be refined")
@@ -218,10 +242,17 @@ def _refine(family: DiniFamily, n: int, lo: float, hi: float, flo: float,
     for i in range(3):
         num, den, j0, j1, wp = _d_lead(a, nu, x)
         d = num / den  # D / lead, rounded once
-        dp = _dprime_from_pair(a, nu, x, j0, j1)
+        dp, scale = _dprime_from_pair(a, nu, x, j0, j1), abs(a * j0) + abs(x * j1)
         x_new = x - d / dp if dp != 0.0 else x
         if i == 2 or x_new == x or not step_lo < x_new < step_hi:
             break
+        blo, bhi, dx, w = x_new - 0.49 * tol, x_new + 0.49 * tol, x_new - x, 0.49 * tol
+        res = abs(d + dp * dx) + math.ulp(d) + math.ulp(dp * dx)
+        p = min(min(scale * w / 8.0, 0.5 * RESIDUAL_REL * scale - res) / abs(dx),
+                abs(dp) - 2e-8 * scale)
+        if 0.0 < blo < x < bhi and bhi - blo <= tol and p > 0.0 and all(  # (0.0, p): E < p
+                _interval_newton(a, nu, x, blo, bhi, *v, j0, j1) for v in ((d, dp), (0.0, p))):
+            return ZeroEntry(n, x_new, blo, bhi, (a, nu))
         x = x_new
 
     blo, bhi = x - 0.49 * tol, x + 0.49 * tol
@@ -234,7 +265,6 @@ def _refine(family: DiniFamily, n: int, lo: float, hi: float, flo: float,
         raise NumericFailure(
             f"bracket [{blo!r}, {bhi!r}] has no sign change; zero {n} could not "
             "be refined to a certified zero")
-    scale = abs(a * j0) + abs(x * j1)
     entry = ZeroEntry(n, x, blo, bhi, (num, den.bit_length(), nu, wp))
     if abs(dp) <= 1e-8 * scale:
         raise NumericFailure(
@@ -275,6 +305,6 @@ def find_zeros(family: DiniFamily, count: int, tol: float = DEFAULT_TOL) -> Zero
                 break
             y = 0.5 * (x + y)
         if _sign(fx) != _sign(fy):
-            entries.append(_refine(family, len(entries) + 1, x, y, fx, tol))
+            entries.append(_refine(family, len(entries) + 1, x, y, jx, jy, tol))
         x, jx, fx = y, jy, fy
     return ZeroTable(family, tol, tuple(entries))
