@@ -75,6 +75,15 @@ class TestExitCodes:
         assert (code, out) == (3, "")
         assert err.startswith("numeric failure: zero 1 near x=3.3")
 
+    def test_short_table_reports_its_count(self):
+        # zero 1 (x = 7.68) cannot be refined to width 1e-14 either, but the
+        # count is proved short before any zero is refined
+        code, out, err = run_inproc(["zeros", "--a", "1", "--nu", "29", "--n", "9",
+                                     "--tol", "1e-14"])
+        assert (code, out) == (3, "")
+        assert err == ("numeric failure: only 7 sign changes of D_(a=1,nu=29) "
+                       "found below x=60, needed 9\n")
+
     @pytest.mark.parametrize("argv,message", [
         (["zeros", "--a", "inf", "--nu", "0.5"], "a must be finite"),
         (["certify", "--a", "inf", "--nu", "0.5"], "a must be finite"),

@@ -22,6 +22,7 @@ from dinicert import (
     cli,
     dini_eval,
     dini_prime,
+    evaluate_criterion,
     find_zeros,
     ismail_lower_bound,
     oracle_closed_form,
@@ -286,6 +287,35 @@ class TestFindZeros:
         # at nu = 9 the 18th zero lies beyond the x <= 60 series range
         with pytest.raises(NumericFailure, match="sign changes"):
             find_zeros(DiniFamily(1.0, Order(9.0)), 18)
+
+    @staticmethod
+    def refine_calls(monkeypatch):
+        calls, refine = [], zeros._refine
+        monkeypatch.setattr(zeros, "_refine",
+                            lambda *args: calls.append(args) or refine(*args))
+        return calls
+
+    def test_count_proved_before_any_refinement(self, monkeypatch):
+        # 4 zeros lie below 60; the scan proves it without refining them
+        calls = self.refine_calls(monkeypatch)
+        with pytest.raises(NumericFailure, match="only 4 sign changes"):
+            find_zeros(DiniFamily(3.0, Order(40.0)), 12)
+        assert calls == []
+
+    def test_truncated_route_refines_nothing_it_drops(self, monkeypatch):
+        # the criterion's 12-zero table is short at nu = 20, which its
+        # truncated route catches; the 11 zeros below 60 are never refined
+        calls = self.refine_calls(monkeypatch)
+        assert evaluate_criterion(DiniFamily(1.0, Order(20.0))).truncated_value is None
+        assert calls == []
+
+    def test_count_failure_precedes_refinement_failure(self):
+        # zero 1 cannot be refined to a bracket of width 1e-14 at x = 7.68,
+        # but the table is short of 9 zeros, and that is what it reports
+        message = "only 7 sign changes of D_(a=1,nu=29) found below x=60, needed 9"
+        with pytest.raises(NumericFailure) as exc:
+            find_zeros(DiniFamily(1.0, Order(29.0)), 9, 1e-14)
+        assert str(exc.value) == message
 
 
 class TestIntervalNewton:
