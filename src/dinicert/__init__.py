@@ -32,7 +32,6 @@ from .criterion import (
 from .certify import (
     CertReport,
     FactorizationCheck,
-    GridSpec,
     certify,
     factorization_check,
     starlike_sample,
@@ -48,6 +47,6 @@ __all__ = [
     "ismail_lower_bound",
     "CriticalOrder", "SumCriterion", "critical_equation", "critical_order",
     "evaluate_criterion", "sum_closed", "sum_truncated",
-    "CertReport", "FactorizationCheck", "GridSpec", "certify",
-    "factorization_check", "starlike_sample",
+    "CertReport", "FactorizationCheck", "certify", "factorization_check",
+    "starlike_sample",
 ]

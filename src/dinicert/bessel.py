@@ -43,7 +43,6 @@ from __future__ import annotations
 
 import cmath
 import math
-from functools import lru_cache
 
 import numpy as np
 from mpmath.libmp import (
@@ -243,7 +242,7 @@ def _w_coeffs(a: float, nu: float, rmax: float) -> list[float]:
 
 
 def _w_sum(a: float, nu: float, z, derivative: bool):
-    """w (or w') on |z| <= 1 for pointwise callers: Horner's rule over
+    """w (or w') on |z| <= 1, for every caller: Horner's rule over
     ``_w_coeffs`` at the input's max |z|, w = z sum c_k z^k and
     w' = sum (k+1) c_k z^k, on (Re z, Im z) in real arithmetic.  numpy's
     scalar and SIMD loops round real products and sums alike, so a point's
@@ -265,29 +264,6 @@ def _w_sum(a: float, nu: float, z, derivative: bool):
     out = np.empty(zz.shape, dtype=np.complex128)
     out.real, out.imag = p, q
     return out
-
-
-@lru_cache(maxsize=4)
-def _unit_roots(m: int) -> np.ndarray:
-    """e^(2 pi i l / m) for l < m, built once per m and read-only."""
-    e = np.exp(1j * np.array([2.0 * math.pi * l / m for l in range(m)]))
-    e.flags.writeable = False
-    return e
-
-
-def _w_polar(a: float, nu: float, radii, m: int, count: int, derivative: bool = True):
-    """[Re w, Im w] and, if ``derivative``, [Re z w', Im z w'] at r_i e^(2 pi i j / m),
-    j < count, a row per radius.  A term separates, c_k z^(k+1) =
-    c_k r^(k+1) e^(i (k+1) theta), so each block is a (radii x K) ring matrix
-    times (K x angles) harmonics, read from ``_unit_roots`` at the exact index
-    (k+1) j mod m.  The coefficients are ``_w_coeffs`` at r_max = max r_i.
-    """
-    c = _w_coeffs(a, nu, float(max(radii)))
-    k1 = np.arange(1, len(c) + 1)
-    ring = np.asarray(c) * np.asarray(radii, dtype=float)[:, None] ** k1
-    ring = np.stack([ring, ring * k1] if derivative else [ring])[:, None]
-    e = _unit_roots(m)[k1[:, None] * np.arange(count) % m]
-    return (ring @ np.stack([e.real, e.imag])).reshape(-1, len(radii), count)
 
 
 def w_eval(family: DiniFamily, z):

@@ -23,9 +23,8 @@ from dinicert import (
     w_eval,
     w_prime_eval,
 )
-from dinicert.bessel import _j_pair, _j_ratio, _unit_roots, _w_sum
+from dinicert.bessel import _j_pair, _j_ratio, _w_sum
 from dinicert.zeros import _d_lead
-from dinicert.certify import _polar_grid, default_radii
 
 
 def j_brute(nu, x, terms=60):
@@ -470,18 +469,19 @@ def _circle(n):
     return np.exp(2j * np.pi * np.arange(n) / n)
 
 
-def _polar(radii, m, count):
-    """The polar grid r e^(2 pi i j / m), j < count."""
-    return np.asarray(radii)[:, None] * _unit_roots(m)[:count]
+def _polar(count, m, angles):
+    """The polar grid r_k e^(2 pi i j / m), r_k = 0.99 (k+1) / count, j < angles."""
+    radii = 0.99 * np.arange(1, count + 1) / count
+    return radii[:, None] * np.exp(2j * np.pi * np.arange(angles) / m)
 
 
 # Polar grids (64 x 361, an odd angle count, radii decreasing), unit circles
 # (20,000 points is past numpy's 256 KiB temporary-elision size) and 0-d
 # scalars.
 W_SUM_INPUTS = {
-    "default_grid": lambda: _polar_grid(64, 0.99, 720)[1],
-    "odd_angles": lambda: _polar(default_radii(16), 63, 63),
-    "radii_decreasing": lambda: _polar(default_radii(16)[::-1], 64, 33),
+    "grid_64x361": lambda: _polar(64, 720, 361),
+    "odd_angles": lambda: _polar(16, 63, 63),
+    "radii_decreasing": lambda: _polar(16, 64, 33)[::-1],
     "circle_4": lambda: _circle(4),
     "circle_64": lambda: _circle(64),
     "circle_20000": lambda: _circle(20000),

@@ -1,7 +1,10 @@
 """Certification verdicts, disk sampling, and factorization validation."""
 
 import cmath
+import contextlib
 import importlib
+import io
+import json
 import math
 import sys
 
@@ -23,9 +26,8 @@ from dinicert import (
     starlike_sample,
     w_eval,
 )
-from dinicert import bessel, criterion
-from dinicert.bessel import _unit_roots, _w_polar, _w_sum
-from dinicert.certify import _polar_grid, default_radii
+from dinicert import cli, criterion
+from dinicert.bessel import _w_sum
 
 certify_module = importlib.import_module("dinicert.certify")
 
@@ -154,10 +156,17 @@ def test_verdict_against_mpmath(a, nu):
         assert verdict == ("certified" if s < 1 else "refuted")
 
 
+def a_for_first_zero(x2):
+    """a = x J_{3/2}(x) / J_{1/2}(x), which puts omega_1^2 of w_{a,1/2} at x^2."""
+    with mpmath.workdps(40):
+        x = mpmath.sqrt(mpmath.mpf(x2))
+        return float(x * mpmath.besselj(1.5, x) / mpmath.besselj(0.5, x))
+
+
 class TestStarlikeSample:
     def test_functional_tends_to_one_at_origin(self):
-        p, q, x, y = _w_polar(1.0, 0.5, (1e-3,), 8, 5)
-        val = (x * p + y * q) / (p * p + q * q)
+        z = 1e-3 * np.exp(2j * np.pi * np.arange(8) / 8)
+        val = np.real(z * _w_sum(1.0, 0.5, z, True) / _w_sum(1.0, 0.5, z, False))
         assert np.all(np.abs(val - 1.0) <= 1e-3)
 
     def test_certified_family_positive(self):
@@ -174,35 +183,34 @@ class TestStarlikeSample:
             assert abs(func_p - func_m) <= 1e-14
 
     def test_cached_grid_is_read_only(self):
-        for spec, shape in (((64, 0.99, 720), (64, 361)), ((16, 0.9, 96), (16, 49))):
-            radii, z = _polar_grid(*spec)
-            assert radii == tuple(default_radii(*spec[:2]))
-            assert _polar_grid(*spec)[1] is z
-            assert z.shape == shape
-            assert not z.flags.writeable
-            with pytest.raises(ValueError):
-                z[0, 0] = 0.5
+        # factorization_check's ring, built once at import
+        ring = certify_module._RING
+        assert ring.shape == (49,)
+        assert not ring.flags.writeable
+        with pytest.raises(ValueError):
+            ring[0] = 0.5
 
-    def test_grid_fault_on_interior_zero(self):
-        # a = x J_{3/2}(x) / J_{1/2}(x) at x^2 = 0.495 puts omega_1^2 on the
-        # grid's 32nd radius, 0.99 * 32 / 64, at theta = 0
-        with mpmath.workdps(40):
-            x = mpmath.sqrt(mpmath.mpf("0.495"))
-            a = float(x * mpmath.besselj(1.5, x) / mpmath.besselj(0.5, x))
-        assert default_radii()[31] == 0.495
-        assert find_zeros(fam(a, 0.5), 1).zeros[0] ** 2 == pytest.approx(0.495, rel=1e-14)
-        with pytest.raises(NumericFailure, match="grid fault"):
+    @pytest.mark.parametrize("x2", ["0.495", "0.9899"])
+    def test_zero_inside_disk_refused(self, x2):
+        # omega_1^2 mid-disk and just inside |z| = 0.99: w(0.99) < 0
+        a = a_for_first_zero(x2)
+        assert find_zeros(fam(a, 0.5), 1).zeros[0] ** 2 == pytest.approx(float(x2), rel=1e-13)
+        with pytest.raises(NumericFailure, match=r"w\(0.99\) = -.* omega_1\^2 <= 0.99"):
             starlike_sample(fam(a, 0.5))
 
+    def test_zero_just_outside_disk_sampled(self):
+        # omega_1^2 = 0.9901: w(0.99) > 0, and the pole of z w'/w next to
+        # z = 0.99 drives the minimum far below 0
+        assert starlike_sample(fam(a_for_first_zero("0.9901"), 0.5)) < -1e3
 
-def functional_mp(a, nu, r, j, m):
-    """(Re(z w'/w), its rounding scale) at z = r e^(2 pi i j / m), to 50 digits:
-    the scale (sum |(k+1) c_k z^(k+1)| + |Re(z w'/w)| sum |c_k z^(k+1)|) / |w|
-    bounds how far the rounding of the two sums, eps times their absolute
-    terms, moves the quotient."""
+
+def functional_mp(a, nu, z):
+    """(Re(z w'/w), its rounding scale, w) at z, to 50 digits: the scale
+    (sum |(k+1) c_k z^(k+1)| + |Re(z w'/w)| sum |c_k z^(k+1)|) / |w| bounds
+    how far the rounding of the two sums, eps times their absolute terms,
+    moves the quotient."""
     with mpmath.workdps(50):
-        a, nu = mpmath.mpf(a), mpmath.mpf(nu)
-        z = mpmath.mpf(r) * mpmath.expjpi(mpmath.mpf(2 * j) / m)
+        a, nu, z = mpmath.mpf(a), mpmath.mpf(nu), mpmath.mpmathify(z)
         c, w, zwp, aw, azwp, k = mpmath.mpf(1), 0, 0, 0, 0, 0
         while (k + 1) * abs(c) > mpmath.mpf(10) ** -60:
             t = c * z ** (k + 1)
@@ -210,60 +218,65 @@ def functional_mp(a, nu, r, j, m):
             c *= -(2 * k + 2 + a) / ((2 * k + a) * 4 * (k + 1) * (nu + k + 1))
             k += 1
         f = (zwp / w).real
-        return f, (azwp + abs(f) * aw) / abs(w)
+        return f, (azwp + abs(f) * aw) / abs(w), w
 
 
 @settings(max_examples=25, derandomize=True, deadline=None)
-@given(log_a=st.floats(-2.0, 2.0), nu=st.floats(-0.99, 60.0, exclude_min=True),
-       points=st.lists(st.tuples(st.integers(0, 63), st.integers(0, 360)),
-                       min_size=50, max_size=50))
-def test_polar_sum_against_mpmath(log_a, nu, points):
-    """Re(z w'/w) from the separable sum, at the 64 x 361 grid's argmin and 50
-    more points, is within the pointwise series' error of 50-digit mpmath, or
-    within twice the rounding scale (both sums keep to about 1.7 scales)."""
-    a, radii = 10.0 ** log_a, tuple(default_radii())
-    z = _polar_grid(64, 0.99, 720)[1]
-    p, q, x, y = _w_polar(a, nu, radii, 720, z.shape[1])
-    new = (x * p + y * q) / (p * p + q * q)
-    old = np.real(z * _w_sum(a, nu, z, True) / _w_sum(a, nu, z, False))
-    assert starlike_sample(fam(a, nu)) == new.min()
-    argmin = np.unravel_index(int(np.argmin(new)), new.shape)
-    for i, j in [argmin, *points]:
-        ref, scale = functional_mp(a, nu, radii[i], int(j), 720)
-        err_new, err_old = abs(new[i, j] - ref), abs(old[i, j] - ref)
-        assert err_new <= max(err_old, 2 * sys.float_info.epsilon * scale), (i, j)
+@given(log_a=st.floats(-2.0, 2.0), nu=st.floats(-0.99, 60.0, exclude_min=True))
+def test_starlike_sample_against_mpmath(log_a, nu):
+    """Re(z w'/w) at z = 0.99 is within twice the rounding scale of 50-digit
+    mpmath; a family whose w(0.99) is not positive is refused."""
+    a = 10.0 ** log_a
+    ref, scale, w = functional_mp(a, nu, 0.99)
+    if w <= 0:
+        with pytest.raises(NumericFailure, match=r"omega_1\^2 <= 0.99"):
+            starlike_sample(fam(a, nu))
+    else:
+        assert abs(starlike_sample(fam(a, nu)) - ref) <= 2 * sys.float_info.epsilon * scale
 
 
-@pytest.mark.parametrize("radii, m", [(default_radii(16), 63),
-                                      (default_radii(16)[::-1], 64),
+@pytest.mark.parametrize("radii, m", [([0.99 * (k + 1) / 16 for k in range(16)], 63),
+                                      ([0.99 * (16 - k) / 16 for k in range(16)], 64),
                                       ([1e-3], 8), ([1e-3], 7)])
 def test_polar_sum_grid_shapes(radii, m):
-    """An odd angle count (the full circle), decreasing radii and one tiny
-    radius: w and z w' match the pointwise series at every point, within
-    rounding of their terms, whose moduli sum to below 3 |z| here, and so
-    does the functional starlike_sample minimises."""
-    a, nu, radii = 1.3, 0.4, tuple(radii)
+    """The series summed on polar grids r e^(2 pi i j / m), j < count, of
+    odd shapes (an odd angle count, the full circle; decreasing radii; one
+    tiny radius): Re(z w'/w) is nowhere below its value at z = max r, up to
+    rounding, as the extremal-point argument says."""
+    a, nu = 1.3, 0.4
     count = m // 2 + 1 if m % 2 == 0 else m
-    z = np.asarray(radii)[:, None] * _unit_roots(m)[:count]
-    p, q, x, y = _w_polar(a, nu, radii, m, count)
-    assert p.shape == z.shape == (len(radii), count)
-    w, zwp = _w_sum(a, nu, z, False), z * _w_sum(a, nu, z, True)
-    assert np.all(np.abs(p + 1j * q - w) <= 4e-15 * np.abs(z))
-    assert np.all(np.abs(x + 1j * y - zwp) <= 4e-15 * np.abs(z))
-    value = float(np.min((x * p + y * q) / (p * p + q * q)))
-    assert value == pytest.approx(float(np.min(np.real(zwp / w))), abs=1e-15)
+    z = np.asarray(radii)[:, None] * np.exp(2j * np.pi * np.arange(count) / m)
+    value = np.real(z * _w_sum(a, nu, z, True) / _w_sum(a, nu, z, False))
+    r = max(radii)
+    at_r = (r * _w_sum(a, nu, r, True) / _w_sum(a, nu, r, False)).real
+    assert value.shape == z.shape
+    assert value.min() >= at_r - 1e-15
+    if r == 0.99:
+        assert starlike_sample(fam(a, nu)) == at_r
 
 
-def test_disk_checks_never_sum_pointwise(monkeypatch):
-    """starlike_sample and factorization_check take w from the separable sum
-    alone, not from the pointwise series."""
-    def spy(*args):
-        raise AssertionError("_w_sum called")
-    for mod in (bessel, importlib.import_module("dinicert.certify")):
-        monkeypatch.setattr(mod, "_w_sum", spy, raising=False)
-    assert starlike_sample(fam(1.3, 0.4)) > 0.0
-    assert factorization_check(fam(2.0, 1.0), n_zeros=6).within_envelope
-    assert certify(fam(1.0, 0.5)).min_re_starlike > 0.0
+@pytest.mark.parametrize("a, nu, verdict", [(1.0, 0.5, "certified"), (1.0, 0.2, "refuted"),
+                                            (100.0, -0.75, "refuted")])
+def test_point_is_the_disk_minimum(a, nu, verdict):
+    """starlike_sample is at most Re(z w'/w) over a dense 50-digit sample of
+    |z| <= 0.99 (12 radii x 25 angles on the upper half disk), within its
+    rounding, and is the theta = 0 value of ``boundary --samples 64``."""
+    assert certify(fam(a, nu)).verdict == verdict
+    value = starlike_sample(fam(a, nu))
+    ref, scale, _ = functional_mp(a, nu, 0.99)
+    with mpmath.workdps(50):
+        dense = min(functional_mp(a, nu, mpmath.mpf(0.99) * i / 12
+                                  * mpmath.expjpi(mpmath.mpf(j) / 24))[0]
+                    for i in range(1, 13) for j in range(25))
+    assert dense == ref  # the sample's minimum is its point z = 0.99
+    assert value <= dense + 2 * sys.float_info.epsilon * scale
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        assert cli.main(["boundary", "--a", repr(a), "--nu", repr(nu), "--samples", "64"]) == 0
+    # boundary divides in numpy, whose complex quotient multiplies by a
+    # rounded reciprocal: 1 ulp from the one division here at (100, -0.75)
+    row = json.loads(out.getvalue())["results"]["samples"][0]
+    assert abs(row["starlike_re_at_0p99"] - value) <= math.ulp(value)
 
 
 @pytest.fixture(scope="module")
@@ -286,12 +299,22 @@ class TestFactorization:
         assert fc.within_envelope
         assert fc.max_deviation > 0.99 * fc.envelope
 
-    def test_grid_is_the_polar_grid(self):
-        # the grid factorization_check built by hand, bit for bit
-        radii = [0.9 * (k + 1) / 16 for k in range(16)]
+    def test_ring_by_hand(self):
+        # the ring factorization_check samples, 0.9 e^(i pi j / 48), bit for bit
         thetas = [2.0 * math.pi * j / 96 for j in range(49)]
-        by_hand = np.asarray(radii)[:, None] * np.exp(1j * np.asarray(thetas)[None, :])
-        assert np.array_equal(_polar_grid(16, 0.9, 96)[1], by_hand)
+        by_hand = 0.9 * np.exp(1j * np.asarray(thetas))
+        assert np.array_equal(certify_module._RING, by_hand)
+
+    @pytest.mark.parametrize("n", [0, 6, 18])
+    def test_deviation_peaks_on_ring(self, table18, n):
+        # maximum modulus: no interior point of |z| <= 0.9 deviates more
+        f = fam(2.0, 1.0)
+        fc = factorization_check(f, n_zeros=n, table=table18)
+        z = np.asarray([0.9 * k / 16 for k in range(1, 16)])[:, None] * np.exp(
+            2j * np.pi * np.arange(49) / 96)
+        zs = np.asarray(table18.zeros[:n])
+        prod = z * np.prod(1.0 - z[..., None] / (zs * zs), axis=-1)
+        assert fc.max_deviation >= np.max(np.abs(w_eval(f, z) - prod))
 
     def test_deviation_shrinks_with_more_zeros(self, table18):
         devs = [factorization_check(fam(2.0, 1.0), n_zeros=n, table=table18,

@@ -246,6 +246,15 @@ class TestCertifyCommand:
         doc = json.loads(out)
         assert doc["results"]["verdict"] == verdict
 
+    @pytest.mark.parametrize("n", ["1", "0"])
+    def test_certified_with_negative_disk_minimum_refused(self, n):
+        # the closed sum reads S = 0.99835 here, while 50-digit mpmath gives
+        # 1.0204, and the w series 1 - S(sqrt 0.99) = -1.64e-5: no certificate
+        code, out, err = run_inproc(["certify", "--a", "0.00639225", "--nu", "154",
+                                     "--n", n])
+        assert code == 3 and out == ""
+        assert "closed sum S = 0.998" in err and "min Re(z w'/w) = -1.6" in err
+
     def test_roundtrip(self):
         _, out, _ = run_inproc(["certify", "--a", "1", "--nu", "0.5"])
         results = json.loads(out)["results"]
