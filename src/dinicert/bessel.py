@@ -3,8 +3,10 @@
 Three evaluators give J_nu(x) and J_{nu+1}(x) together:
 
 - ``_j_ratio``, (J_mu, J_{mu+1}) / |J_mu| for mu = nu or nu + 1, by a backward
-  continued fraction in doubles: the zero scan and Halley, and
-  rho = J_{nu+2}(1) / J_{nu+1}(1) for certify's modulus test and nu_a;
+  continued fraction in float-only arithmetic, each level adding 2 nu to a
+  tabled 2k (fl(2 nu + 2k) = 2 fl(nu + k) exactly): the zero scan and
+  Halley, and rho = J_{nu+2}(1) / J_{nu+1}(1) for certify's modulus test
+  and nu_a;
 - ``_j_sums``, the integer sums of one fixed-point pass over J_nu's leading
   term: each zero's finish and certificate (``zeros._d_lead``), and
   ``_j_pair`` beyond the double path;
@@ -26,7 +28,11 @@ it loses about 0.43*x digits to cancellation.  There are two ways to sum it:
   doubles reject (nu near -1; Gamma(nu + 1) past the double range).  One
   recurrence gives J_nu's terms over its leading term, and J_{nu+1}, at
   nu + 1 exactly, is the same terms weighted by k (the series
-  differentiated term by term).  It starts with 73 + 1.443*x bits, adds
+  differentiated term by term), summed from the partial sums A_i of the
+  first as K A_K - sum_{i<K} A_i: one addition per term, no multiplication.
+  Term denominators come by differences, and the maxima that measure
+  cancellation are tracked only up to the peak of k t_k, beyond which
+  neither t_k nor k t_k grows.  It starts with 73 + 1.443*x bits, adds
   guard bits while cancellation leaves fewer than 63, and truncates the
   result to a double, so results are faithfully rounded (error below
   1 ulp), not always correctly rounded: against 40-digit mpmath at 300
@@ -115,35 +121,65 @@ def _j_sums(nu: float, x: float) -> tuple[int, int, int, int]:
     x J_{nu+1} = nu J_nu - x J'_nu = -lead sum (-1)^k 2k t_k (DLMF 10.6.2, the
     series differentiated) gives s1 = sum (-1)^k k t_k.  nu = p/q and x are
     binary rationals, so a term costs one multiplication and one truncating
-    division by integers.  The sum runs until the term truncates to zero; the
-    guard grows while cancellation leaves fewer than 63 bits in either sum.
+    division by integers; den_k = d k (k q + p) comes by differences.  With
+    the partial sums A_i = sum_{j<=i} (-1)^j t_j, s1 = K A_K - sum_{i<K} A_i
+    exactly, so s1 costs one addition per term.  The sum runs until the term
+    truncates to zero, and fails if t_500 does not; the guard grows while
+    cancellation leaves fewer than 63 bits in either sum.  The maxima are
+    tracked only up to the peak of k t_k: its exact ratio c k / (den_k (k - 1))
+    falls with k, and once it is at most 1 so is c / den_k, and the floor
+    division only lowers later terms, so neither t_k nor k t_k grows again.
     wp, the bits the prefactor needs, omits the fraction bits that keep s1's
     leading term (x/2)^2 / (nu + 1) at least 2^wp where it is below 1."""
     xn, xd = x.as_integer_ratio()
     p, q = nu.as_integer_ratio()
     c, d = xn * xn * q, 4 * xd * xd
+    dd = 2 * d * q  # den_k - den_{k-1} = d (2k q - q + p) grows by dd a term
     wp = 73 + int(1.443 * x)
     lift = max(0, (d * (q + p)).bit_length() - c.bit_length())
     for _ in range(4):
         prec = wp + lift
         t = s0 = m0 = m1 = 1 << prec
-        s1 = k = 0
-        while t:
-            k += 1
-            if k > 500:
-                raise NumericFailure(f"Bessel series did not converge at nu={nu}, x={x}")
-            t = t * c // (d * k * (k * q + p))
-            kt = k * t
-            if k & 1:
-                s0 -= t
-                s1 -= kt
-            else:
-                s0 += t
-                s1 += kt
+        u = k = den = 0  # u = sum_{i<k} A_i
+        e = d * (p - q)  # so the first step gives den_1 = d (q + p)
+        # Two terms a step, odd then even, so k is even between steps.
+        while t and k < 500:
+            u += s0
+            e += dd
+            den += e
+            t = t * c // den
+            s0 -= t
             if t > m0:  # inline: a max() call costs as much as the term
                 m0 = t
-            if kt > m1:
+            if (kt := (k + 1) * t) > m1:
                 m1 = kt
+            u += s0
+            e += dd
+            den += e
+            t = t * c // den
+            s0 += t
+            k += 2
+            if t > m0:
+                m0 = t
+            if (kt := k * t) > m1:
+                m1 = kt
+            if c * k <= den * (k - 1):  # past the peak of k t_k
+                break
+        while t and k < 500:
+            u += s0
+            e += dd
+            den += e
+            t = t * c // den
+            s0 -= t
+            u += s0
+            e += dd
+            den += e
+            t = t * c // den
+            s0 += t
+            k += 2
+        if t:
+            raise NumericFailure(f"Bessel series did not converge at nu={nu}, x={x}")
+        s1 = k * s0 - u
         cancel = max(m.bit_length() - abs(s).bit_length() if s else prec
                      for m, s in ((m0, s0), (m1, s1)))
         if cancel <= prec - 63:
@@ -170,6 +206,16 @@ def _j_pair(nu: float, x: float) -> tuple[float, float]:
                  for s, f in ((s0, lead), (-s1, mpf_div(lead, half, wp, _RN))))
 
 
+def _levels(x: float) -> int:
+    """Levels of ``_j_ratio``'s continued fraction at x."""
+    return int(1.25 * x + 3.0 * x ** (1.0 / 3.0)) + 19
+
+
+# 2k for every level k of _j_ratio up to x = X_MAX and shift 1: a slice past
+# the end would drop levels silently.
+_TWO_K = tuple(2.0 * k for k in range(_levels(X_MAX) + 2))
+
+
 def _j_ratio(nu: float, x: float = 1.0, shift: int = 1) -> tuple[float, float]:
     """(s, s r) = (J_mu(x), J_{mu+1}(x)) / |J_mu(x)|, mu = nu + shift exactly,
     r by the backward continued fraction r_{m-1} = x / (2m - x r_m),
@@ -180,6 +226,9 @@ def _j_ratio(nu: float, x: float = 1.0, shift: int = 1) -> tuple[float, float]:
     atan r is within (x + 8) eps of atan(J_{mu+1} / J_mu), modulo pi (worst
     0.64 (x + 8) eps against 40-digit mpmath, nu in (-0.9, 40], x in (0, 60],
     half the draws at or next to zeros of J_nu or J_{nu+1}).
+    Level m = nu + k forms 2m as the sum of the doubles 2 nu and 2k (_TWO_K),
+    so each level is float-only arithmetic; fl(2 nu + 2k) = 2 fl(nu + k)
+    exactly, as scaling by 2 commutes with rounding, and both overflow alike.
     s = sign J_mu(x) is the parity of the negative denominators
     2m - x r_m = x J_{m-1} / J_m: their signs telescope to sign(J_mu / J_M),
     and J_M(x) > 0 as x < M < j_{M,1}.  A denominator that rounds to 0
@@ -189,9 +238,9 @@ def _j_ratio(nu: float, x: float = 1.0, shift: int = 1) -> tuple[float, float]:
     at the last level, within rounding of a zero of J_mu, and r flips with it.
     At x = 1 all are positive: the defaults give (1.0, rho),
     rho = J_{nu+2}(1) / J_{nu+1}(1), within 2 eps relative for nu in (-1, 1000]."""
-    t, s = 0.0, 1.0
-    for k in range(int(1.25 * x + 3.0 * x ** (1.0 / 3.0)) + 19 + shift, shift, -1):
-        t = x / ((2.0 * (nu + k) - x * t) or -5e-324)
+    t, s, tn = 0.0, 1.0, 2.0 * nu
+    for k2 in _TWO_K[_levels(x) + shift:shift:-1]:
+        t = x / ((tn + k2 - x * t) or -5e-324)
         if t < 0.0:  # x > 0, so t < 0 exactly where its denominator is
             s = -s
     return s, s * t

@@ -197,8 +197,8 @@ def _cmd_boundary(args):
     wpi = w_prime_eval(family, z_inner)
     starlike = np.real(z_inner * wpi / wi)
     header = ["theta", "w_re", "w_im", "starlike_re_at_0p99"]
-    rows = [[float(thetas[k]), float(w[k].real), float(w[k].imag),
-             float(starlike[k])] for k in range(m)]
+    rows = [list(r) for r in zip(thetas.tolist(), w.real.tolist(), w.imag.tolist(),
+                                 starlike.tolist())]
     results = {"samples": [dict(zip(header, r)) for r in rows]}
     diag = {"samples": m, "starlike_radius": 0.99,
             "series_truncation_threshold": 1e-16}

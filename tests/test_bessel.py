@@ -23,7 +23,8 @@ from dinicert import (
     w_eval,
     w_prime_eval,
 )
-from dinicert.bessel import _j_pair, _j_ratio, _w_sum
+from dinicert.bessel import X_MAX, _j_pair, _j_ratio, _j_sums, _levels, _TWO_K, _w_sum
+from dinicert.errors import NumericFailure
 from dinicert.zeros import _d_lead
 
 
@@ -275,6 +276,116 @@ def test_ratio_against_mpmath(nu, x):
         else:
             for a in (0.01, 1.0, 100.0):
                 assert math.copysign(1.0, a * s - x * sr) == mpmath.sign(a * j0 - x * j1)
+
+
+def j_sums_reference(nu, x):
+    """``_j_sums`` in its plain form, term by term: den_k formed afresh, k t_k
+    by multiplication and one signed add to each sum.  The kernel must match
+    it bit for bit."""
+    xn, xd = x.as_integer_ratio()
+    p, q = nu.as_integer_ratio()
+    c, d = xn * xn * q, 4 * xd * xd
+    wp = 73 + int(1.443 * x)
+    lift = max(0, (d * (q + p)).bit_length() - c.bit_length())
+    for _ in range(4):
+        prec = wp + lift
+        t = s0 = m0 = m1 = 1 << prec
+        s1 = k = 0
+        while t:
+            k += 1
+            if k > 500:
+                raise NumericFailure(f"Bessel series did not converge at nu={nu}, x={x}")
+            t = t * c // (d * k * (k * q + p))
+            kt = k * t
+            if k & 1:
+                s0 -= t
+                s1 -= kt
+            else:
+                s0 += t
+                s1 += kt
+            m0 = max(m0, t)
+            m1 = max(m1, kt)
+        cancel = max(m.bit_length() - abs(s).bit_length() if s else prec
+                     for m, s in ((m0, s0), (m1, s1)))
+        if cancel <= prec - 63:
+            return s0, s1, prec, wp
+        wp += cancel - (prec - 63) + 20
+    raise NumericFailure(f"could not reach target precision at nu={nu}, x={x}")
+
+
+def j_ratio_reference(nu, x=1.0, shift=1):
+    """``_j_ratio`` over range() levels with 2 (nu + k) mixing an int in."""
+    t, s = 0.0, 1.0
+    for k in range(int(1.25 * x + 3.0 * x ** (1.0 / 3.0)) + 19 + shift, shift, -1):
+        t = x / ((2.0 * (nu + k) - x * t) or -5e-324)
+        if t < 0.0:
+            s = -s
+    return s, s * t
+
+
+def outcome(fn, *args):
+    try:
+        return fn(*args)
+    except NumericFailure as exc:
+        return str(exc)
+
+
+@settings(max_examples=400, derandomize=True, deadline=None)
+@given(nu=st.floats(-1.0, 400.0, exclude_min=True),
+       x=st.floats(0.0, 60.0, exclude_min=True))
+@example(nu=0.3, x=X_MAX)
+@example(nu=-0.9999999999999999, x=1.0)
+@example(nu=-0.9999999999999999, x=X_MAX)
+@example(nu=1000.0, x=1.0)
+@example(nu=7.0, x=13.0)
+@example(nu=0.0, x=2.5)
+@example(nu=-0.75, x=33.3)
+@example(nu=2.0 ** -40, x=17.0)
+@example(nu=3.0, x=2.0 ** -30)
+@example(nu=-0.5, x=2.0 ** -30)
+def test_kernels_match_reference(nu, x):
+    """Both kernels give the reference's bits: (s0, s1, prec, wp) and, at
+    either shift, (s, s r)."""
+    assert outcome(_j_sums, nu, x) == outcome(j_sums_reference, nu, x)
+    for shift in (0, 1):
+        assert _j_ratio(nu, x, shift) == j_ratio_reference(nu, x, shift)
+
+
+# x at and next to the doubles nearest zeros of J_nu (shift 0) or of J_{nu+1}
+# (shift 1): s0 or s1 cancels to about an ulp of its terms and the guard
+# must add bits.
+@pytest.mark.parametrize("nu,shift,n", [(0.0, 0, 1), (0.0, 1, 1), (0.0, 0, 12),
+                                        (2.0, 1, 2), (-0.6, 0, 3), (-0.9, 1, 1),
+                                        (15.098473923193199, 1, 4), (0.3, 0, 14),
+                                        (37.25, 0, 2), (37.25, 1, 1)])
+def test_kernels_match_reference_next_to_zeros(nu, shift, n):
+    with mpmath.workdps(30):
+        v = mpmath.mpf(nu) + shift
+        z = float(mpmath.findroot(lambda t: mpmath.besselj(v, t),
+                                  mpmath.besseljzero(v + 1, n) - 1.5) if v < 0
+                  else mpmath.besseljzero(v, n))
+    for x in (math.nextafter(z, 0.0), z, math.nextafter(z, math.inf)):
+        sums = _j_sums(nu, x)
+        assert sums == j_sums_reference(nu, x)
+        assert sums[3] > 73 + int(1.443 * x)  # the guard escalated
+        assert _j_ratio(nu, x, shift) == j_ratio_reference(nu, x, shift)
+
+
+@pytest.mark.parametrize("x", [300.0, 1000.0])
+def test_sums_fail_like_reference(x):
+    """Past the domain t_500 is nonzero and both raise the same message;
+    at x = 1000 the peak of k t_k lies near the 500-term limit."""
+    message = outcome(j_sums_reference, 0.5, x)
+    assert isinstance(message, str) and "did not converge" in message
+    assert outcome(_j_sums, 0.5, x) == message
+
+
+@pytest.mark.parametrize("nu", [-0.9999999999999999, -0.5, 0.0, 3.7, 400.0, 1e300])
+def test_ratio_table_covers_x_max(nu):
+    """The 2k table ends where the deepest fraction starts (x = X_MAX,
+    shift 1), so no level is dropped there."""
+    assert len(_TWO_K) == _levels(X_MAX) + 2
+    assert _j_ratio(nu, X_MAX, 1) == j_ratio_reference(nu, X_MAX, 1)
 
 
 class TestBesselJPrime:
