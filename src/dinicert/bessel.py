@@ -42,33 +42,19 @@ it loses about 0.43*x digits to cancellation.  There are two ways to sum it:
 All state is local and mpmath's libmp primitives are pure functions of
 (value, precision), so every function here is safe to call from any
 number of threads; the one value kept, a ``ZeroEntry``'s residual, is such
-a pure function too, so racing first reads agree.
+a pure function too, so racing first reads agree.  numpy and libmp are
+imported on first use, and Python's import lock makes a racing thread wait
+until the module is whole.
 """
 
 from __future__ import annotations
 
 import cmath
+import functools
 import math
-
-import numpy as np
-from mpmath.libmp import (
-    fone,
-    from_float,
-    from_man_exp,
-    mpf_add,
-    mpf_div,
-    mpf_gamma,
-    mpf_mul,
-    mpf_pow,
-    mpf_shift,
-    round_nearest,
-    to_float,
-)
 
 from .errors import DomainError, NumericFailure
 from .families import DiniFamily, Order, _as_nu
-
-_RN = round_nearest
 
 # Double summation is accepted only while the largest term exceeds the
 # result by less than this factor (< 1 digit lost to cancellation).
@@ -188,11 +174,19 @@ def _j_sums(nu: float, x: float) -> tuple[int, int, int, int]:
     raise NumericFailure(f"could not reach target precision at nu={nu}, x={x}")
 
 
+@functools.cache
+def _libmp():
+    """mpmath's libmp, imported on first use: most commands never need it."""
+    from mpmath import libmp
+    return libmp
+
+
 def _lead(nu: float, x: float, wp: int):
     """_j_sums' prefactor (x/2)^nu / Gamma(nu + 1) in libmp at wp bits."""
-    mu = from_float(nu)
-    return mpf_div(mpf_pow(mpf_shift(from_float(x), -1), mu, wp, _RN),
-                   mpf_gamma(mpf_add(mu, fone), wp, _RN), wp, _RN)
+    lm = _libmp()
+    mu, rn = lm.from_float(nu), lm.round_nearest
+    return lm.mpf_div(lm.mpf_pow(lm.mpf_shift(lm.from_float(x), -1), mu, wp, rn),
+                      lm.mpf_gamma(lm.mpf_add(mu, lm.fone), wp, rn), wp, rn)
 
 
 def _j_pair(nu: float, x: float) -> tuple[float, float]:
@@ -201,9 +195,10 @@ def _j_pair(nu: float, x: float) -> tuple[float, float]:
     if x <= _FLOAT_PATH_X_MAX and (pair := _j_pair_float(nu, x)):
         return pair
     s0, s1, prec, wp = _j_sums(nu, x)
-    lead, half = _lead(nu, x, wp), mpf_shift(from_float(x), -1)
-    return tuple(to_float(mpf_mul(from_man_exp(s, -prec), f, wp, _RN))
-                 for s, f in ((s0, lead), (-s1, mpf_div(lead, half, wp, _RN))))
+    lm = _libmp()
+    lead, half, rn = _lead(nu, x, wp), lm.mpf_shift(lm.from_float(x), -1), lm.round_nearest
+    return tuple(lm.to_float(lm.mpf_mul(lm.from_man_exp(s, -prec), f, wp, rn))
+                 for s, f in ((s0, lead), (-s1, lm.mpf_div(lead, half, wp, rn))))
 
 
 def _levels(x: float) -> int:
@@ -266,13 +261,6 @@ def bessel_j_prime(order: Order | float, x: float) -> float:
     return (nu / x) * j0 - j1
 
 
-def _check_disk(z):
-    zz = np.asarray(z, dtype=np.complex128)
-    if not np.all(np.abs(zz) <= 1.0 + 1e-9):  # NaN fails the comparison too
-        raise DomainError("w_{a,nu} is evaluated on the closed unit disk only")
-    return zz
-
-
 def _w_coeffs(a: float, nu: float, rmax: float) -> list[float]:
     """c_k of w_{a,nu} = sum c_k z^(k+1), from c_0 = 1 by the term ratio
     c_{n+1} / c_n = -(2n + 2 + a) / ((2n + a) 4 (n + 1) (nu + n + 1)), until two
@@ -293,24 +281,38 @@ def _w_coeffs(a: float, nu: float, rmax: float) -> list[float]:
 def _w_sum(a: float, nu: float, z, derivative: bool):
     """w (or w') on |z| <= 1, for every caller: Horner's rule over
     ``_w_coeffs`` at the input's max |z|, w = z sum c_k z^k and
-    w' = sum (k+1) c_k z^k, on (Re z, Im z) in real arithmetic.  numpy's
-    scalar and SIMD loops round real products and sums alike, so a point's
-    bits do not depend on the size of its array.  0-d input runs in Python
-    floats and returns a complex.
+    w' = sum (k+1) c_k z^k, on (Re z, Im z) in real arithmetic.  A Python
+    int, float or complex is summed in Python floats without numpy, at
+    max |z| = abs(z): the C library's hypot, which can differ from numpy's by
+    an ulp or two; they reach w only through the disk test and the stop test
+    of ``_w_coeffs``.  Other input, numpy scalars too, goes through numpy,
+    and a 0-d one returns a complex.  numpy's scalar and SIMD loops round real
+    products and sums alike, so a point's bits do not depend on the size of
+    its array.
     """
-    zz = _check_disk(z)
-    c = _w_coeffs(a, nu, float(np.max(np.abs(zz), initial=0.0)))
+    array = type(z) not in (int, float, complex)
+    if array:
+        import numpy as np
+        z = np.asarray(z, dtype=np.complex128)
+        x, y, rmax = z.real, z.imag, float(np.max(np.abs(z), initial=0.0))
+        if not z.ndim:
+            x, y, array = float(x), float(y), False
+    else:
+        z = complex(z)
+        x, y, rmax = z.real, z.imag, abs(z)
+    if not rmax <= 1.0 + 1e-9:  # NaN fails the comparison too
+        raise DomainError("w_{a,nu} is evaluated on the closed unit disk only")
+    c = _w_coeffs(a, nu, rmax)
     if derivative:
         c = [(k + 1) * ck for k, ck in enumerate(c)]
-    x, y = (zz.real, zz.imag) if zz.ndim else (float(zz.real), float(zz.imag))
     p, q = c[-1], 0.0
     for ck in c[-2::-1]:
         p, q = p * x - q * y + ck, p * y + q * x
     if not derivative:
         p, q = p * x - q * y, p * y + q * x
-    if not zz.ndim:
+    if not array:
         return complex(p, q)
-    out = np.empty(zz.shape, dtype=np.complex128)
+    out = np.empty(z.shape, dtype=np.complex128)
     out.real, out.imag = p, q
     return out
 

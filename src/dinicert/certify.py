@@ -16,10 +16,9 @@ z = 0.99 and a product-versus-series factorization check on the ring
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
-
-import numpy as np
 
 from .bessel import _j_ratio, _w_sum
 from .criterion import BOUNDARY_BAND, SumCriterion, _check_n_terms, _criterion, _tail_mass, sum_closed
@@ -58,10 +57,15 @@ class CertReport:
     zero_at_unit_radius: bool = False
 
 
-# The upper half of the ring |z| = 0.9, 0.9 e^(i pi j / 48) for j <= 48: the
-# series has real coefficients, so the lower half mirrors it.
-_RING = 0.9 * np.exp(1j * (np.pi * np.arange(49) / 48))
-_RING.flags.writeable = False
+@functools.cache
+def _ring():
+    """The upper half of the ring |z| = 0.9, 0.9 e^(i pi j / 48) for j <= 48,
+    read-only: the series has real coefficients, so the lower half mirrors it.
+    Built on the first ``factorization_check``, so that numpy loads only there."""
+    import numpy as np
+    ring = 0.9 * np.exp(1j * (np.pi * np.arange(49) / 48))
+    ring.flags.writeable = False
+    return ring
 
 
 def starlike_sample(family: DiniFamily) -> float:
@@ -89,19 +93,20 @@ def factorization_check(family: DiniFamily, n_zeros: int = 18,
 
     Both the difference and the partial product are entire, so by the
     maximum modulus principle their maxima over the disk lie on the ring
-    |z| = 0.9, and only its 49 points ``_RING`` are evaluated.  They differ
+    |z| = 0.9, and only its 49 points ``_ring()`` are evaluated.  They differ
     by the factor prod_{n>N} (1 - z/omega_n^2), within expm1(|z| (T - P_N))
     of 1, where T - P_N = sum_{n>N} 1/omega_n^2 exactly (T and P_N as in
     ``sum_truncated``).  So the deviation must stay below
     C expm1(0.9 (T - P_N)), C the max modulus of the partial product on the
     ring; the first-order C 0.9 (T - P_N) would not hold.
     """
+    import numpy as np
     n_zeros = _check_n_terms(n_zeros)
     if table is None or len(table) < n_zeros:
         table = find_zeros(family, max(n_zeros, 1))
-    zs = np.array(table.zeros[:n_zeros])
-    w = _w_sum(family.a, family.nu, _RING, derivative=False)
-    prod = _RING * np.prod(1.0 - _RING[:, None] / (zs * zs), axis=-1)
+    zs, ring = np.array(table.zeros[:n_zeros]), _ring()
+    w = _w_sum(family.a, family.nu, ring, derivative=False)
+    prod = ring * np.prod(1.0 - ring[:, None] / (zs * zs), axis=-1)
     deviation = float(np.max(np.abs(w - prod)))
     tail_mass = _tail_mass(family, table.zeros[:n_zeros])
     envelope = float(np.max(np.abs(prod))) * math.expm1(0.9 * tail_mass)

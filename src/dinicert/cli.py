@@ -19,9 +19,7 @@ import functools
 import math
 import sys
 
-import numpy as np
-
-from . import __version__, selftest
+from . import __version__
 from .bessel import w_eval, w_prime_eval
 from .certify import certify
 from .criterion import (BOUNDARY_BAND, SEARCH_WINDOW, SUM_CROSS_CHECK_TOL,
@@ -183,6 +181,7 @@ def _cmd_eval(args):
 
 
 def _cmd_boundary(args):
+    import numpy as np
     family = _family(args)
     m = args.samples
     if m < 1:
@@ -206,6 +205,7 @@ def _cmd_boundary(args):
 
 
 def _cmd_selftest(args):
+    from . import selftest
     only = None
     if args.only is not None:
         try:

@@ -69,9 +69,7 @@ import sys
 from dataclasses import dataclass, field
 from functools import cached_property
 
-from mpmath.libmp import from_man_exp, mpf_mul, round_nearest, to_float
-
-from .bessel import X_MAX, _check_x, _j_pair, _j_ratio, _j_sums, _lead
+from .bessel import X_MAX, _check_x, _j_pair, _j_ratio, _j_sums, _lead, _libmp
 from .errors import DomainError, NumericFailure
 from .families import DiniFamily
 
@@ -106,8 +104,9 @@ class ZeroEntry:
             num, den, _, _, wp = _d_lead(*finish, self.zero)
             finish = (num, den.bit_length(), finish[1], wp)
         num, den_bits, nu, wp = finish
-        return abs(to_float(mpf_mul(from_man_exp(num, 1 - den_bits),
-                                    _lead(nu, self.zero, wp), 53, round_nearest)))
+        lm = _libmp()
+        return abs(lm.to_float(lm.mpf_mul(lm.from_man_exp(num, 1 - den_bits),
+                                          _lead(nu, self.zero, wp), 53, lm.round_nearest)))
 
 
 @dataclass(frozen=True)

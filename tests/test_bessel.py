@@ -23,7 +23,7 @@ from dinicert import (
     w_eval,
     w_prime_eval,
 )
-from dinicert.bessel import X_MAX, _j_pair, _j_ratio, _j_sums, _levels, _TWO_K, _w_sum
+from dinicert.bessel import X_MAX, _j_pair, _j_ratio, _j_sums, _levels, _TWO_K, _w_coeffs, _w_sum
 from dinicert.errors import NumericFailure
 from dinicert.zeros import _d_lead
 
@@ -632,6 +632,103 @@ def test_w_sum_independent_of_array_size(derivative):
     whole = _w_sum(1.0, 0.3, zz, derivative)
     chunks = [_w_sum(1.0, 0.3, zz[i:i + 1000], derivative) for i in range(0, 20000, 1000)]
     assert np.array_equal(whole, np.concatenate(chunks))
+
+
+def w_sum_numpy_first(a, nu, z, derivative):
+    """_w_sum as it was when every input went through numpy first: the disk
+    check and r_max by np.abs, a 0-d input summed in Python floats."""
+    zz = np.asarray(z, dtype=np.complex128)
+    if not np.all(np.abs(zz) <= 1.0 + 1e-9):
+        raise DomainError("w_{a,nu} is evaluated on the closed unit disk only")
+    c = _w_coeffs(a, nu, float(np.max(np.abs(zz), initial=0.0)))
+    if derivative:
+        c = [(k + 1) * ck for k, ck in enumerate(c)]
+    x, y = (zz.real, zz.imag) if zz.ndim else (float(zz.real), float(zz.imag))
+    p, q = c[-1], 0.0
+    for ck in c[-2::-1]:
+        p, q = p * x - q * y + ck, p * y + q * x
+    if not derivative:
+        p, q = p * x - q * y, p * y + q * x
+    if not zz.ndim:
+        return complex(p, q)
+    out = np.empty(zz.shape, dtype=np.complex128)
+    out.real, out.imag = p, q
+    return out
+
+
+# Every kind of point input.  Python numbers sum without numpy, at
+# max |z| = abs(z); numpy's scalars, 0-d and one-point arrays as before.
+PYTHON_POINTS = {
+    "int": lambda z: round(z.real),
+    "float": lambda z: z.real,
+    "complex": lambda z: z,
+}
+NUMPY_POINTS = {
+    "float64": lambda z: np.float64(z.real),
+    "complex128": np.complex128,
+    "complex64": np.complex64,
+    "0-d": np.asarray,
+    "one-point": lambda z: np.array([z]),
+}
+
+
+def w_sum_outcome(fn, a, nu, z, derivative):
+    """The result's type and bits (the sign of a zero included), or the message
+    of the DomainError raised."""
+    try:
+        w = fn(a, nu, z, derivative)
+    except DomainError as exc:
+        return "DomainError", str(exc)
+    return type(w), np.asarray(w, dtype=np.complex128).tobytes()
+
+
+def assert_w_sum_as_numpy_first(a, nu, z, kinds):
+    for make in kinds.values():
+        v = make(z)
+        for derivative in (False, True):
+            new = w_sum_outcome(_w_sum, a, nu, v, derivative)
+            assert new == w_sum_outcome(w_sum_numpy_first, a, nu, v, derivative), (v, derivative)
+
+
+@settings(max_examples=300, derandomize=True, deadline=None)
+@given(log_a=st.floats(-2.0, 2.0), nu=st.floats(-0.99, 60.0, exclude_min=True),
+       r=st.floats(0.0, 1.0), theta=st.floats(-math.pi, math.pi))
+@example(log_a=0.0, nu=0.5, r=1.0, theta=0.0)  # the rim on the real axis
+@example(log_a=0.0, nu=0.5, r=0.0, theta=0.0)  # the origin
+def test_w_sum_point_bits_as_numpy_first(log_a, nu, r, theta):
+    """Every kind of point on the closed disk gets the bits and return type it
+    got when all input went through numpy.  A Python complex's r_max = abs(z)
+    is within two ulp of np.abs(z) (numpy 2.4 on x86 with FMA rounds
+    L sqrt(1 + (S/L)^2) with a fused multiply-add, and differs from hypot at
+    about a third of random points), and _w_coeffs' length does not follow
+    those ulp."""
+    a, z = 10.0 ** log_a, r * cmath.exp(1j * theta)
+    r_np = float(np.abs(np.complex128(z)))
+    assert abs(abs(z) - r_np) <= 2 * math.ulp(r_np)
+    assert len(_w_coeffs(a, nu, abs(z))) == len(_w_coeffs(a, nu, r_np))
+    assert_w_sum_as_numpy_first(a, nu, z, PYTHON_POINTS | NUMPY_POINTS)
+
+
+@settings(max_examples=100, derandomize=True, deadline=None)
+@given(theta=st.floats(-math.pi, math.pi), dx=st.integers(-4, 4), dy=st.integers(-4, 4))
+def test_w_sum_disk_edge_as_numpy_first(theta, dx, dy):
+    """Within a few ulp of |z| = 1 + 1e-9 a point is summed or refused as it
+    was when all input went through numpy, except that a Python complex is
+    refused by abs(z) > 1 + 1e-9, which can fall on the other side of 1 + 1e-9
+    from np.abs(z)."""
+    z = (1.0 + 1e-9) * cmath.exp(1j * theta)
+    z = complex(z.real + dx * math.ulp(z.real), z.imag + dy * math.ulp(z.imag))
+    assert_w_sum_as_numpy_first(1.0, 0.3, z, NUMPY_POINTS)
+    refused = w_sum_outcome(_w_sum, 1.0, 0.3, z, False)[0] == "DomainError"
+    assert refused == (abs(z) > 1.0 + 1e-9)
+    if (abs(z) > 1.0 + 1e-9) == (np.abs(np.complex128(z)) > 1.0 + 1e-9):
+        assert_w_sum_as_numpy_first(1.0, 0.3, z, PYTHON_POINTS)
+
+
+@pytest.mark.parametrize("z", [complex("nan"), complex(0.5, float("nan")), complex("inf")])
+def test_w_sum_non_finite_as_numpy_first(z):
+    kinds = {k: make for k, make in (PYTHON_POINTS | NUMPY_POINTS).items() if k != "int"}
+    assert_w_sum_as_numpy_first(1.0, 0.3, z, kinds)
 
 
 class TestClosedFormOracles:

@@ -183,8 +183,9 @@ class TestStarlikeSample:
             assert abs(func_p - func_m) <= 1e-14
 
     def test_cached_grid_is_read_only(self):
-        # factorization_check's ring, built once at import
-        ring = certify_module._RING
+        # factorization_check's ring, built on first use and kept
+        ring = certify_module._ring()
+        assert certify_module._ring() is ring
         assert ring.shape == (49,)
         assert not ring.flags.writeable
         with pytest.raises(ValueError):
@@ -303,7 +304,8 @@ class TestFactorization:
         # the ring factorization_check samples, 0.9 e^(i pi j / 48), bit for bit
         thetas = [2.0 * math.pi * j / 96 for j in range(49)]
         by_hand = 0.9 * np.exp(1j * np.asarray(thetas))
-        assert np.array_equal(certify_module._RING, by_hand)
+        assert np.array_equal(certify_module._ring(), by_hand)
+        assert certify_module._ring() is certify_module._ring()
 
     @pytest.mark.parametrize("n", [0, 6, 18])
     def test_deviation_peaks_on_ring(self, table18, n):

@@ -331,3 +331,38 @@ class TestOutFile(object):
         assert out == ""
         doc = json.loads(target.read_text())
         assert doc["command"] == "zeros"
+
+
+# Run in a fresh interpreter with the command line as sys.argv[1:]: prints the
+# heavy libraries loaded once `cli.main` has run it (none for an empty line).
+FOOTPRINT_PROBE = """\
+import contextlib, io, sys
+import dinicert, dinicert.cli
+if sys.argv[1:]:
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert dinicert.cli.main(sys.argv[1:]) == 0
+print(" ".join(m for m in ("mpmath", "numpy") if m in sys.modules))
+"""
+
+
+class TestImportFootprint:
+    """numpy loads only for boundary (and selftest), mpmath's libmp only where
+    a residual or a fixed-point pair is formed: `import dinicert` and the
+    other commands start without either."""
+
+    @pytest.mark.parametrize("argv, loaded", [
+        ([], ""),
+        (["certify", "--a", "1", "--nu", "0.3"], ""),
+        (["sum", "--a", "2", "--nu", "0.5"], ""),
+        (["critical", "--a", "2"], ""),
+        (["eval", "--a", "1", "--nu", "0.3", "--z", "0.3+0.4j"], ""),
+        (["zeros", "--a", "1", "--nu", "0.5", "--n", "3"], "mpmath"),
+        (["boundary", "--a", "1", "--nu", "0.5", "--samples", "4"], "numpy"),
+    ], ids=["import", "certify", "sum", "critical", "eval", "zeros", "boundary"])
+    def test_heavy_imports(self, argv, loaded):
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            p for p in (str(SRC), os.environ.get("PYTHONPATH")) if p))
+        run = subprocess.run([sys.executable, "-c", FOOTPRINT_PROBE, *argv],
+                             capture_output=True, text=True, env=env)
+        assert run.returncode == 0, run.stderr
+        assert run.stdout.strip() == loaded
