@@ -42,9 +42,9 @@ it loses about 0.43*x digits to cancellation.  There are two ways to sum it:
 All state is local and mpmath's libmp primitives are pure functions of
 (value, precision), so every function here is safe to call from any
 number of threads; the one value kept, a ``ZeroEntry``'s residual, is such
-a pure function too, so racing first reads agree.  numpy and libmp are
-imported on first use, and Python's import lock makes a racing thread wait
-until the module is whole.
+a pure function too, so racing first reads agree.  libmp is imported on
+first use (numpy only to shape the w series at an array), and Python's
+import lock makes a racing thread wait until the module is whole.
 """
 
 from __future__ import annotations
@@ -278,58 +278,64 @@ def _w_coeffs(a: float, nu: float, rmax: float) -> list[float]:
     return c
 
 
-def _w_sum(a: float, nu: float, z, derivative: bool):
-    """w (or w') on |z| <= 1, for every caller: Horner's rule over
-    ``_w_coeffs`` at the input's max |z|, w = z sum c_k z^k and
-    w' = sum (k+1) c_k z^k, on (Re z, Im z) in real arithmetic.  A Python
-    int, float or complex is summed in Python floats without numpy, at
-    max |z| = abs(z): the C library's hypot, which can differ from numpy's by
-    an ulp or two; they reach w only through the disk test and the stop test
-    of ``_w_coeffs``.  Other input, numpy scalars too, goes through numpy,
-    and a 0-d one returns a complex.  numpy's scalar and SIMD loops round real
-    products and sums alike, so a point's bits do not depend on the size of
-    its array.
-    """
-    array = type(z) not in (int, float, complex)
-    if array:
+def _w_points(z):
+    """(points, r_max, form): z's points as Python complex numbers, their max
+    abs(z) (the C library's hypot), refusing |z| > 1 + 1e-9, and a function
+    that shapes results as z: an array, a list for a list or tuple, else a complex."""
+    shape = getattr(z, "shape", None)
+    if shape:  # an array of one or more dimensions, so numpy is loaded already
         import numpy as np
-        z = np.asarray(z, dtype=np.complex128)
-        x, y, rmax = z.real, z.imag, float(np.max(np.abs(z), initial=0.0))
-        if not z.ndim:
-            x, y, array = float(x), float(y), False
+        points = np.asarray(z, dtype=np.complex128).ravel().tolist()
+        form = lambda out: np.array(out, np.complex128).reshape(shape)
+    elif type(z) in (list, tuple):
+        points, form = [complex(v) for v in z], list
     else:
-        z = complex(z)
-        x, y, rmax = z.real, z.imag, abs(z)
-    if not rmax <= 1.0 + 1e-9:  # NaN fails the comparison too
+        points, form = [complex(z)], lambda out: out[0]
+    try:
+        radii = [abs(v) for v in points]
+    except OverflowError:  # |z| past the double range
+        radii = [math.inf]
+    if not all(r <= 1.0 + 1e-9 for r in radii):  # NaN fails the comparison too
         raise DomainError("w_{a,nu} is evaluated on the closed unit disk only")
+    return points, max(radii, default=0.0), form
+
+
+def _w_sums(a: float, nu: float, z, derivatives=(False, True)) -> list:
+    """w = z sum c_k z^k (False) or w' = sum (k+1) c_k z^k (True) on |z| <= 1
+    for each of ``derivatives``, from one ``_w_coeffs`` list at the input's max
+    |z|, by Horner's rule on (Re z, Im z) in Python floats point by point: a
+    point's bits depend on it and that max |z| alone, not on the input's type."""
+    points, rmax, form = _w_points(z)
     c = _w_coeffs(a, nu, rmax)
-    if derivative:
-        c = [(k + 1) * ck for k, ck in enumerate(c)]
-    p, q = c[-1], 0.0
-    for ck in c[-2::-1]:
-        p, q = p * x - q * y + ck, p * y + q * x
-    if not derivative:
-        p, q = p * x - q * y, p * y + q * x
-    if not array:
-        return complex(p, q)
-    out = np.empty(z.shape, dtype=np.complex128)
-    out.real, out.imag = p, q
-    return out
+    sums = []
+    for derivative in derivatives:
+        b = [(k + 1) * ck for k, ck in enumerate(c)] if derivative else c
+        out, top, rest = [], b[-1], b[-2::-1]
+        for v in points:
+            x, y = v.real, v.imag
+            p, q = top, 0.0
+            for bk in rest:
+                p, q = p * x - q * y + bk, p * y + q * x
+            if not derivative:
+                p, q = p * x - q * y, p * y + q * x
+            out.append(complex(p, q))
+        sums.append(form(out))
+    return sums
 
 
 def w_eval(family: DiniFamily, z):
     """w_{a,nu}(z) on |z| <= 1, normalized so w(0) = 0 and w'(0) = 1.
 
-    Accepts a scalar or an ndarray of points; scalar input returns a
-    complex scalar.  The series has real coefficients, so real input z
-    yields a result with imaginary part exactly zero.
+    A number (a numpy scalar or 0-d array too) gives a complex, a list or
+    tuple a list, an ndarray an ndarray of its shape.  The series has real
+    coefficients, so real input z yields an imaginary part exactly zero.
     """
-    return _w_sum(family.a, family.nu, z, derivative=False)
+    return _w_sums(family.a, family.nu, z, (False,))[0]
 
 
 def w_prime_eval(family: DiniFamily, z):
     """Term-wise differentiated series of w_{a,nu}; w'(0) = 1."""
-    return _w_sum(family.a, family.nu, z, derivative=True)
+    return _w_sums(family.a, family.nu, z, (True,))[0]
 
 
 _CLOSED_FORMS = ("q_half", "q_threehalf", "r_half", "r_threehalf")

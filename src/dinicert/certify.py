@@ -20,7 +20,7 @@ import functools
 import math
 from dataclasses import dataclass
 
-from .bessel import _j_ratio, _w_sum
+from .bessel import _j_ratio, _w_sums, w_eval
 from .criterion import BOUNDARY_BAND, SumCriterion, _check_n_terms, _criterion, _tail_mass, sum_closed
 from .errors import NumericFailure, PoleError
 from .families import DiniFamily
@@ -79,11 +79,11 @@ def starlike_sample(family: DiniFamily) -> float:
     (omega_1^2, omega_2^2), omega_2^2 > j_{0,1}^2 ~ 5.78, so the sign of
     w(0.99) decides that without a zero.
     """
-    w = _w_sum(family.a, family.nu, 0.99, derivative=False).real
-    if not w > 0.0:
-        raise NumericFailure(f"w(0.99) = {w!r} <= 0: omega_1^2 <= 0.99, so a zero "
+    w, wp = _w_sums(family.a, family.nu, 0.99)
+    if not w.real > 0.0:
+        raise NumericFailure(f"w(0.99) = {w.real!r} <= 0: omega_1^2 <= 0.99, so a zero "
                              "of w lies in the disk |z| <= 0.99")
-    return 0.99 * _w_sum(family.a, family.nu, 0.99, derivative=True).real / w
+    return 0.99 * wp.real / w.real
 
 
 def factorization_check(family: DiniFamily, n_zeros: int = 18,
@@ -105,7 +105,7 @@ def factorization_check(family: DiniFamily, n_zeros: int = 18,
     if table is None or len(table) < n_zeros:
         table = find_zeros(family, max(n_zeros, 1))
     zs, ring = np.array(table.zeros[:n_zeros]), _ring()
-    w = _w_sum(family.a, family.nu, ring, derivative=False)
+    w = w_eval(family, ring)
     prod = ring * np.prod(1.0 - ring[:, None] / (zs * zs), axis=-1)
     deviation = float(np.max(np.abs(w - prod)))
     tail_mass = _tail_mass(family, table.zeros[:n_zeros])

@@ -14,13 +14,14 @@ selftest failure, 2 validation error, 3 numeric failure.
 from __future__ import annotations
 
 import argparse
+import cmath
 import dataclasses
 import functools
 import math
 import sys
 
 from . import __version__
-from .bessel import w_eval, w_prime_eval
+from .bessel import _w_sums, w_eval
 from .certify import certify
 from .criterion import (BOUNDARY_BAND, SEARCH_WINDOW, SUM_CROSS_CHECK_TOL,
                         critical_order, evaluate_criterion)
@@ -31,35 +32,37 @@ from .zeros import DEFAULT_TOL, SCAN_STEP, X_MAX, find_zeros
 # ------------------------------------------------------------ rendering
 
 def _fmt_float(x: float) -> str:
-    if math.isnan(x) or math.isinf(x):
+    if not math.isfinite(x):
         raise NumericFailure("non-finite value reached the serializer")
     return "%.17g" % x
 
 
 def _render(obj, indent: int = 0) -> str:
+    # Floats, dicts and lists first, a dict's finite floats inline: an envelope is mostly these.
+    if isinstance(obj, float):
+        return _fmt_float(obj)
     pad = "  " * indent
+    if isinstance(obj, dict):
+        if not obj:
+            return "{}"
+        inner = f',\n{pad}  "'.join([
+            f'{k}": ' + ("%.17g" % v if type(v) is float and math.isfinite(v)
+                         else _render(v, indent + 1)) for k, v in obj.items()])
+        return f'{{\n{pad}  "{inner}\n{pad}}}'
+    if isinstance(obj, (list, tuple)):
+        if not obj:
+            return "[]"
+        inner = f",\n{pad}  ".join([_render(v, indent + 1) for v in obj])
+        return f"[\n{pad}  {inner}\n{pad}]"
     if obj is None:
         return "null"
     if isinstance(obj, bool):
         return "true" if obj else "false"
     if isinstance(obj, int):
         return str(obj)
-    if isinstance(obj, float):
-        return _fmt_float(obj)
     if isinstance(obj, str):
         out = obj.replace("\\", "\\\\").replace('"', '\\"')
         return f'"{out}"'
-    if isinstance(obj, dict):
-        if not obj:
-            return "{}"
-        inner = ",\n".join(
-            f'{pad}  "{k}": {_render(v, indent + 1)}' for k, v in obj.items())
-        return "{\n" + inner + "\n" + pad + "}"
-    if isinstance(obj, (list, tuple)):
-        if not obj:
-            return "[]"
-        inner = ",\n".join(f"{pad}  {_render(v, indent + 1)}" for v in obj)
-        return "[\n" + inner + "\n" + pad + "]"
     if dataclasses.is_dataclass(obj):
         return _render({k: getattr(obj, k) for k in _wire_keys(type(obj))}, indent)
     raise TypeError(f"cannot serialize {type(obj).__name__}")
@@ -92,14 +95,9 @@ def _output(args, results, diagnostics: dict, header: list[str] | None,
 
 
 def _csv(header: list[str] | None, rows: list[list]) -> str:
-    def cell(v):
-        if v is None:
-            return ""
-        if isinstance(v, float):
-            return _fmt_float(v)
-        return str(v)
     lines = [] if header is None else [",".join(header)]
-    lines += [",".join(cell(v) for v in row) for row in rows]
+    lines += [",".join("" if v is None else _fmt_float(v) if isinstance(v, float) else str(v)
+                       for v in row) for row in rows]
     return "\n".join(lines)
 
 
@@ -166,10 +164,8 @@ def _cmd_certify(args):
 
 
 def _cmd_eval(args):
-    family = _family(args)
-    z = args.z
-    w = w_eval(family, z)
-    wp = w_prime_eval(family, z)
+    family, z = _family(args), args.z
+    w, wp = _w_sums(family.a, family.nu, z)
     results = {
         "z": {"re": z.real, "im": z.imag},
         "w": {"re": w.real, "im": w.imag},
@@ -181,24 +177,24 @@ def _cmd_eval(args):
 
 
 def _cmd_boundary(args):
-    import numpy as np
     family = _family(args)
     m = args.samples
     if m < 1:
         raise DomainError("samples must be positive")
     if m > 65536:
         raise DomainError("samples must be at most 65536")
-    thetas = np.array([2.0 * math.pi * k / m for k in range(m)])
-    z_unit = np.exp(1j * thetas)
-    z_inner = 0.99 * z_unit
+    thetas = [2.0 * math.pi * k / m for k in range(m)]
+    z_unit = [cmath.exp(1j * t) for t in thetas]
+    z_inner = [0.99 * z for z in z_unit]
     w = w_eval(family, z_unit)
-    wi = w_eval(family, z_inner)
-    wpi = w_prime_eval(family, z_inner)
-    starlike = np.real(z_inner * wpi / wi)
+    wi, wpi = _w_sums(family.a, family.nu, z_inner)
+    # CPython divides complex numbers by Smith's method with a true division,
+    # so at theta = 0 this is starlike_sample's 0.99 w'(0.99) / w(0.99).
+    rows = [(t, v.real, v.imag, (z * d / u).real)
+            for t, v, z, u, d in zip(thetas, w, z_inner, wi, wpi)]
     header = ["theta", "w_re", "w_im", "starlike_re_at_0p99"]
-    rows = [list(r) for r in zip(thetas.tolist(), w.real.tolist(), w.imag.tolist(),
-                                 starlike.tolist())]
-    results = {"samples": [dict(zip(header, r)) for r in rows]}
+    results = {"samples": [{"theta": t, "w_re": re, "w_im": im, "starlike_re_at_0p99": s}
+                           for t, re, im, s in rows]}
     diag = {"samples": m, "starlike_radius": 0.99,
             "series_truncation_threshold": 1e-16}
     return results, diag, header, rows

@@ -23,9 +23,14 @@ from dinicert import (
     w_eval,
     w_prime_eval,
 )
-from dinicert.bessel import X_MAX, _j_pair, _j_ratio, _j_sums, _levels, _TWO_K, _w_coeffs, _w_sum
+from dinicert.bessel import X_MAX, _j_pair, _j_ratio, _j_sums, _levels, _TWO_K, _w_coeffs, _w_sums
 from dinicert.errors import NumericFailure
 from dinicert.zeros import _d_lead
+
+
+def _w_sum(a, nu, z, derivative):
+    """w (or w') alone, as w_eval and w_prime_eval sum it."""
+    return _w_sums(a, nu, z, (derivative,))[0]
 
 
 def j_brute(nu, x, terms=60):
@@ -488,10 +493,12 @@ class TestWSeries:
             w_eval(DiniFamily(1.0, Order(0.5)), 1.5)
 
     @pytest.mark.parametrize("z", [complex("nan"), complex(0.5, float("nan")),
-                                   complex("inf"), np.array([0.5, complex("nan")])])
+                                   complex("inf"), np.array([0.5, complex("nan")]),
+                                   [complex("nan"), 0.5], complex(1.5e308, 1.5e308)])
     def test_non_finite_rejected(self, z):
         # NaN fails every comparison with the radius: rejected, not summed
-        # for 400 terms into a convergence failure.
+        # for 400 terms into a convergence failure.  abs(z) past the double
+        # range raises OverflowError, which is refused the same way.
         with pytest.raises(DomainError):
             w_eval(DiniFamily(1.0, Order(0.5)), z)
 
@@ -503,11 +510,18 @@ class TestWSeries:
         for k, z in enumerate(zs):
             assert out[k] == pytest.approx(w_eval(fam, complex(z)), rel=1e-15)
 
+    def test_list_input(self):
+        fam, zs = DiniFamily(1.0, Order(0.5)), [0.1, 0.5 + 0.2j, -0.9]
+        for fn in (w_eval, w_prime_eval):
+            out = fn(fam, zs)
+            assert type(out) is list and all(type(w) is complex for w in out)
+            assert out == fn(fam, tuple(zs)) == fn(fam, np.array(zs)).tolist()
+        assert w_eval(fam, []) == []
+
     @pytest.mark.parametrize("fn", [w_eval, w_prime_eval])
     def test_scalar_bits_equal_array_element(self, fn):
-        # A point summed alone, in Python floats, and in a one-point array, in
-        # numpy, gets the same bits (a complex product rounds differently in
-        # numpy's scalar and SIMD loops; real products and sums do not).
+        # A point summed alone and in a one-point array gets the same bits:
+        # both are summed by the same Python-float loop.
         fam, rng = DiniFamily(1.0, Order(0.3)), random.Random(0)
         for _ in range(300):
             z = complex(rng.uniform(-0.7, 0.7), rng.uniform(-0.7, 0.7))
@@ -635,12 +649,14 @@ def test_w_sum_independent_of_array_size(derivative):
 
 
 def w_sum_numpy_first(a, nu, z, derivative):
-    """_w_sum as it was when every input went through numpy first: the disk
-    check and r_max by np.abs, a 0-d input summed in Python floats."""
+    """_w_sum as it was when every input went through numpy first, with the
+    disk check and r_max by abs(complex), the C library's hypot: Horner's rule
+    on numpy's real arrays, a 0-d input summed in Python floats."""
     zz = np.asarray(z, dtype=np.complex128)
-    if not np.all(np.abs(zz) <= 1.0 + 1e-9):
+    radii = [abs(v) for v in zz.ravel().tolist()]
+    if not all(r <= 1.0 + 1e-9 for r in radii):
         raise DomainError("w_{a,nu} is evaluated on the closed unit disk only")
-    c = _w_coeffs(a, nu, float(np.max(np.abs(zz), initial=0.0)))
+    c = _w_coeffs(a, nu, max(radii, default=0.0))
     if derivative:
         c = [(k + 1) * ck for k, ck in enumerate(c)]
     x, y = (zz.real, zz.imag) if zz.ndim else (float(zz.real), float(zz.imag))
@@ -656,8 +672,7 @@ def w_sum_numpy_first(a, nu, z, derivative):
     return out
 
 
-# Every kind of point input.  Python numbers sum without numpy, at
-# max |z| = abs(z); numpy's scalars, 0-d and one-point arrays as before.
+# Every kind of point input; all are summed by one Python-float loop.
 PYTHON_POINTS = {
     "int": lambda z: round(z.real),
     "float": lambda z: z.real,
@@ -697,11 +712,11 @@ def assert_w_sum_as_numpy_first(a, nu, z, kinds):
 @example(log_a=0.0, nu=0.5, r=0.0, theta=0.0)  # the origin
 def test_w_sum_point_bits_as_numpy_first(log_a, nu, r, theta):
     """Every kind of point on the closed disk gets the bits and return type it
-    got when all input went through numpy.  A Python complex's r_max = abs(z)
-    is within two ulp of np.abs(z) (numpy 2.4 on x86 with FMA rounds
-    L sqrt(1 + (S/L)^2) with a fused multiply-add, and differs from hypot at
-    about a third of random points), and _w_coeffs' length does not follow
-    those ulp."""
+    got when all input went through numpy's real arithmetic: numpy's real
+    products and sums round as Python's do.  r_max = abs(z) is within two ulp
+    of np.abs(z) (numpy 2.4 on x86 with FMA rounds L sqrt(1 + (S/L)^2) with a
+    fused multiply-add, and differs from hypot at about a third of random
+    points), and _w_coeffs' length does not follow those ulp."""
     a, z = 10.0 ** log_a, r * cmath.exp(1j * theta)
     r_np = float(np.abs(np.complex128(z)))
     assert abs(abs(z) - r_np) <= 2 * math.ulp(r_np)
@@ -709,20 +724,60 @@ def test_w_sum_point_bits_as_numpy_first(log_a, nu, r, theta):
     assert_w_sum_as_numpy_first(a, nu, z, PYTHON_POINTS | NUMPY_POINTS)
 
 
+def near_disk_edge(theta, dx, dy):
+    """(1 + 1e-9) e^(i theta), moved dx and dy ulp in Re and Im."""
+    z = (1.0 + 1e-9) * cmath.exp(1j * theta)
+    return complex(z.real + dx * math.ulp(z.real), z.imag + dy * math.ulp(z.imag))
+
+
 @settings(max_examples=100, derandomize=True, deadline=None)
 @given(theta=st.floats(-math.pi, math.pi), dx=st.integers(-4, 4), dy=st.integers(-4, 4))
+@example(theta=1.4959779807050952, dx=0, dy=0)  # np.abs above 1 + 1e-9, hypot not (FMA)
 def test_w_sum_disk_edge_as_numpy_first(theta, dx, dy):
-    """Within a few ulp of |z| = 1 + 1e-9 a point is summed or refused as it
-    was when all input went through numpy, except that a Python complex is
-    refused by abs(z) > 1 + 1e-9, which can fall on the other side of 1 + 1e-9
-    from np.abs(z)."""
-    z = (1.0 + 1e-9) * cmath.exp(1j * theta)
-    z = complex(z.real + dx * math.ulp(z.real), z.imag + dy * math.ulp(z.imag))
-    assert_w_sum_as_numpy_first(1.0, 0.3, z, NUMPY_POINTS)
-    refused = w_sum_outcome(_w_sum, 1.0, 0.3, z, False)[0] == "DomainError"
+    """Within a few ulp of |z| = 1 + 1e-9 every kind of point, numpy's too,
+    is refused exactly where abs(z) > 1 + 1e-9 (the C library's hypot, not
+    np.abs, which can fall on the other side) and otherwise summed with the
+    bits of numpy's real arithmetic."""
+    z = near_disk_edge(theta, dx, dy)
+    assert_w_sum_as_numpy_first(1.0, 0.3, z, PYTHON_POINTS | NUMPY_POINTS)
+    refused = w_sum_outcome(_w_sum, 1.0, 0.3, np.array([z]), False)[0] == "DomainError"
     assert refused == (abs(z) > 1.0 + 1e-9)
-    if (abs(z) > 1.0 + 1e-9) == (np.abs(np.complex128(z)) > 1.0 + 1e-9):
-        assert_w_sum_as_numpy_first(1.0, 0.3, z, PYTHON_POINTS)
+
+
+# A point as each input type, and its one result from each return type.
+SAME_POINT = {
+    "complex": (lambda z: z, lambda w: w),
+    "complex128": (np.complex128, lambda w: w),
+    "0-d": (np.asarray, lambda w: w),
+    "one-point": (lambda z: np.array([z]), lambda w: complex(w[0])),
+    "list": (lambda z: [z], lambda w: w[0]),
+}
+
+
+@settings(max_examples=200, derandomize=True, deadline=None)
+@given(log_a=st.floats(-2.0, 2.0), nu=st.floats(-0.99, 60.0, exclude_min=True),
+       theta=st.floats(-math.pi, math.pi), r=st.floats(0.0, 1.0),
+       edge=st.booleans(), dx=st.integers(-4, 4), dy=st.integers(-4, 4))
+@example(log_a=0.0, nu=0.3, theta=1.4959779807050952, r=1.0, edge=True, dx=0, dy=0)
+def test_w_sum_same_bits_for_every_input_type(log_a, nu, theta, r, edge, dx, dy):
+    """A point gets the same bits of w and w' (and the same refusal) as a
+    Python complex, a numpy complex128 scalar, a 0-d array, a one-point
+    array and a one-point list, inside the disk and within a few ulp of
+    |z| = 1 + 1e-9."""
+    a = 10.0 ** log_a
+    z = near_disk_edge(theta, dx, dy) if edge else r * cmath.exp(1j * theta)
+    for derivative in (False, True):
+        seen = set()
+        for make, take in SAME_POINT.values():
+            try:
+                w = take(_w_sum(a, nu, make(z), derivative))
+            except DomainError:
+                seen.add("refused")
+            else:
+                assert type(w) is complex
+                seen.add(np.complex128(w).tobytes())
+        assert len(seen) == 1, (z, derivative)
+        assert ("refused" in seen) == (abs(z) > 1.0 + 1e-9)
 
 
 @pytest.mark.parametrize("z", [complex("nan"), complex(0.5, float("nan")), complex("inf")])

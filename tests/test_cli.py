@@ -1,7 +1,8 @@
 """CLI golden tests: byte determinism, exit codes, formats, round trips."""
 
-import io
+import cmath
 import contextlib
+import io
 import json
 import math
 import os
@@ -13,7 +14,7 @@ import numpy as np
 import pytest
 
 from dinicert import (DiniFamily, certify, cli, critical_order,
-                      evaluate_criterion, find_zeros, selftest)
+                      evaluate_criterion, find_zeros, selftest, w_eval)
 
 GOLDEN = json.loads(pathlib.Path(__file__).with_name("golden_cli.json").read_text())
 SRC = pathlib.Path(__file__).resolve().parents[1] / "src"
@@ -290,6 +291,33 @@ class TestEvalBoundary:
             assert rows[k]["w_im"] == pytest.approx(-rows[8 - k]["w_im"],
                                                     abs=1e-14)
 
+    @pytest.mark.parametrize("a, nu", [(1.0, 0.5), (2.0, 0.5), (0.7, 3.25), (1.3, 11.0),
+                                       (2.5, 1.0), (1.5, 4.0), (0.3, 5.0), (9.0, -0.2),
+                                       (100.0, -0.75)])
+    def test_boundary_theta_zero_is_min_re_starlike(self, a, nu):
+        # CPython divides complex numbers by Smith's method with a true
+        # division, so at theta = 0 the row's quotient is certify's
+        # 0.99 w'(0.99) / w(0.99), bit for bit, at any sample count.
+        report = certify(DiniFamily(a, nu))
+        assert report.min_re_starlike is not None
+        for m in ("1", "7", "64"):
+            code, out, _ = run_inproc(["boundary", "--a", repr(a), "--nu", repr(nu),
+                                       "--samples", m])
+            row = json.loads(out)["results"]["samples"][0]
+            assert code == 0 and row["theta"] == 0.0
+            assert row["starlike_re_at_0p99"] == report.min_re_starlike
+
+    @pytest.mark.parametrize("a, nu", [(1.0, 0.5), (0.7, 3.25), (9.0, -0.2)])
+    def test_boundary_rows_are_w_eval(self, a, nu):
+        # Each row's w is w_eval at e^(i theta), bit for bit.
+        family = DiniFamily(a, nu)
+        code, out, _ = run_inproc(["boundary", "--a", repr(a), "--nu", repr(nu),
+                                   "--samples", "37"])
+        assert code == 0
+        for row in json.loads(out)["results"]["samples"]:
+            w = w_eval(family, cmath.exp(1j * row["theta"]))
+            assert (row["w_re"], row["w_im"]) == (w.real, w.imag), row["theta"]
+
     def test_boundary_csv(self):
         code, out, _ = run_inproc(["boundary", "--a", "1", "--nu", "0.5",
                                    "--samples", "4", "--format", "csv"])
@@ -346,9 +374,9 @@ print(" ".join(m for m in ("mpmath", "numpy") if m in sys.modules))
 
 
 class TestImportFootprint:
-    """numpy loads only for boundary (and selftest), mpmath's libmp only where
-    a residual or a fixed-point pair is formed: `import dinicert` and the
-    other commands start without either."""
+    """numpy loads only for selftest, mpmath's libmp only where a residual or
+    a fixed-point pair is formed: `import dinicert` and the other commands
+    start without either."""
 
     @pytest.mark.parametrize("argv, loaded", [
         ([], ""),
@@ -357,7 +385,7 @@ class TestImportFootprint:
         (["critical", "--a", "2"], ""),
         (["eval", "--a", "1", "--nu", "0.3", "--z", "0.3+0.4j"], ""),
         (["zeros", "--a", "1", "--nu", "0.5", "--n", "3"], "mpmath"),
-        (["boundary", "--a", "1", "--nu", "0.5", "--samples", "4"], "numpy"),
+        (["boundary", "--a", "1", "--nu", "0.5", "--samples", "4"], ""),
     ], ids=["import", "certify", "sum", "critical", "eval", "zeros", "boundary"])
     def test_heavy_imports(self, argv, loaded):
         env = dict(os.environ, PYTHONPATH=os.pathsep.join(
