@@ -16,15 +16,15 @@ z = 0.99 and a product-versus-series factorization check on the ring
 
 from __future__ import annotations
 
-import functools
+import cmath
 import math
 from dataclasses import dataclass
 
 from .bessel import _j_ratio, _w_sums, w_eval
-from .criterion import BOUNDARY_BAND, SumCriterion, _check_n_terms, _criterion, _tail_mass, sum_closed
+from .criterion import BOUNDARY_BAND, SumCriterion, _criterion, _tail_mass, sum_closed
 from .errors import NumericFailure, PoleError
 from .families import DiniFamily
-from .zeros import ZeroTable, find_zeros
+from .zeros import ZeroTable, _check_count, find_zeros
 
 VERDICT_CERTIFIED = "certified"
 VERDICT_REFUTED = "refuted"
@@ -57,17 +57,6 @@ class CertReport:
     zero_at_unit_radius: bool = False
 
 
-@functools.cache
-def _ring():
-    """The upper half of the ring |z| = 0.9, 0.9 e^(i pi j / 48) for j <= 48,
-    read-only: the series has real coefficients, so the lower half mirrors it.
-    Built on the first ``factorization_check``, so that numpy loads only there."""
-    import numpy as np
-    ring = 0.9 * np.exp(1j * (np.pi * np.arange(49) / 48))
-    ring.flags.writeable = False
-    return ring
-
-
 def starlike_sample(family: DiniFamily) -> float:
     """Minimum of Re(z w'(z) / w(z)) over |z| <= 0.99: its value at z = 0.99.
 
@@ -75,9 +64,10 @@ def starlike_sample(family: DiniFamily) -> float:
     z w'/w = 1 - sum z / (omega_n^2 - z), and on |z| <= r < c,
     Re z / (c - z) <= r / (c - r) with equality at z = r.  The minimum is
     therefore 1 - S(sqrt 0.99), S(x) = sum x^2 / (omega_n^2 - x^2), taken at
-    the one point z = 0.99, provided omega_1^2 > 0.99.  On the real axis w > 0 on (0, omega_1^2) and w < 0 on
-    (omega_1^2, omega_2^2), omega_2^2 > j_{0,1}^2 ~ 5.78, so the sign of
-    w(0.99) decides that without a zero.
+    the one point z = 0.99, provided omega_1^2 > 0.99.  On the real axis
+    w > 0 on (0, omega_1^2) and w < 0 on (omega_1^2, omega_2^2),
+    omega_2^2 > j_{0,1}^2 ~ 5.78, so the sign of w(0.99) decides that
+    without a zero.
     """
     w, wp = _w_sums(family.a, family.nu, 0.99)
     if not w.real > 0.0:
@@ -93,23 +83,23 @@ def factorization_check(family: DiniFamily, n_zeros: int = 18,
 
     Both the difference and the partial product are entire, so by the
     maximum modulus principle their maxima over the disk lie on the ring
-    |z| = 0.9, and only its 49 points ``_ring()`` are evaluated.  They differ
-    by the factor prod_{n>N} (1 - z/omega_n^2), within expm1(|z| (T - P_N))
-    of 1, where T - P_N = sum_{n>N} 1/omega_n^2 exactly (T and P_N as in
-    ``sum_truncated``).  So the deviation must stay below
-    C expm1(0.9 (T - P_N)), C the max modulus of the partial product on the
-    ring; the first-order C 0.9 (T - P_N) would not hold.
+    |z| = 0.9; the series has real coefficients, so the lower half mirrors
+    the upper, and only its 49 points 0.9 e^(i pi j / 48), j <= 48, are
+    evaluated.  They differ by the factor prod_{n>N} (1 - z/omega_n^2),
+    within expm1(|z| (T - P_N)) of 1, where T - P_N = sum_{n>N} 1/omega_n^2
+    exactly (T and P_N as in ``sum_truncated``).  So the deviation must stay
+    below C expm1(0.9 (T - P_N)), C the max modulus of the partial product
+    on the ring; the first-order C 0.9 (T - P_N) would not hold.
     """
-    import numpy as np
-    n_zeros = _check_n_terms(n_zeros)
+    n_zeros = _check_count(n_zeros, "n_terms", 0)
     if table is None or len(table) < n_zeros:
         table = find_zeros(family, max(n_zeros, 1))
-    zs, ring = np.array(table.zeros[:n_zeros]), _ring()
-    w = w_eval(family, ring)
-    prod = ring * np.prod(1.0 - ring[:, None] / (zs * zs), axis=-1)
-    deviation = float(np.max(np.abs(w - prod)))
-    tail_mass = _tail_mass(family, table.zeros[:n_zeros])
-    envelope = float(np.max(np.abs(prod))) * math.expm1(0.9 * tail_mass)
+    zeros = table.zeros[:n_zeros]
+    squares = [z * z for z in zeros]
+    ring = [0.9 * cmath.exp(1j * (math.pi * j / 48)) for j in range(49)]
+    prods = [z * math.prod(1.0 - z / m for m in squares) for z in ring]
+    deviation = max(abs(w - p) for w, p in zip(w_eval(family, ring), prods))
+    envelope = max(map(abs, prods)) * math.expm1(0.9 * _tail_mass(family, zeros))
     return FactorizationCheck(n_zeros, deviation, envelope)
 
 
@@ -127,7 +117,7 @@ def certify(family: DiniFamily, zero_count: int = 12) -> CertReport:
     D(1) <= 0.  The recurrence gives D(1) = J_{nu+1}(1) Delta, J_{nu+1}(1) > 0,
     Delta = a (2 nu + 2 - rho) - 1, rho = J_{nu+2}(1) / J_{nu+1}(1): Delta decides.
     """
-    zero_count = _check_n_terms(zero_count)
+    zero_count = _check_count(zero_count, "n_terms", 0)
 
     # A Dini zero numerically at radius 1 makes the criterion ill-posed;
     # decide that first so the verdict does not hinge on which side of 1

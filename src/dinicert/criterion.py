@@ -20,7 +20,7 @@ from dataclasses import dataclass
 from .bessel import _j_pair, _j_ratio
 from .errors import DomainError, NumericFailure, PoleError
 from .families import DiniFamily, _as_a, _as_nu
-from .zeros import MAX_ZEROS, ZeroTable, find_zeros, ismail_lower_bound
+from .zeros import ZeroTable, _check_count, find_zeros, ismail_lower_bound
 
 POLE_REL = 1e-10
 BOUNDARY_BAND = 1e-9
@@ -77,13 +77,6 @@ def sum_closed(family: DiniFamily) -> float:
     return _sum_from_pair(family.a, family.nu, *_j_pair(family.nu, 1.0))
 
 
-def _check_n_terms(n_terms: int) -> int:
-    n_terms = int(n_terms)
-    if not 0 <= n_terms <= MAX_ZEROS:
-        raise DomainError(f"n_terms must lie in [0, {MAX_ZEROS}]")
-    return n_terms
-
-
 def _tail_mass(family: DiniFamily, zeros) -> float:
     """T - P_N = sum_{n>N} 1/omega_n^2 after the first N zeros ``zeros``."""
     return 1.0 / ismail_lower_bound(family) - math.fsum(1.0 / (z * z) for z in zeros)
@@ -112,7 +105,7 @@ def sum_truncated(family: DiniFamily, n_terms: int) -> tuple[float, float]:
     so each such term lies below its share of the bound by a relative
     1/m - 1/omega_n^2 > 2.5e-5, as omega_M <= 60.
     """
-    n_terms = _check_n_terms(n_terms)
+    n_terms = _check_count(n_terms, "n_terms", 0)
     return _truncated_from_table(find_zeros(family, max(n_terms, 1)), n_terms)
 
 
@@ -124,7 +117,7 @@ def evaluate_criterion(family: DiniFamily, n_terms: int = 12,
     to avoid recomputing zeros; the truncated fields are None when the
     first zero does not exceed 1.
     """
-    n_terms = _check_n_terms(n_terms)
+    n_terms = _check_count(n_terms, "n_terms", 0)
     return _criterion(family, sum_closed(family), n_terms, table)
 
 

@@ -65,6 +65,7 @@ the residual gate's failure message, so a caller that never reads it pays no
 from __future__ import annotations
 
 import math
+import operator
 import sys
 from dataclasses import dataclass, field
 from functools import cached_property
@@ -276,14 +277,26 @@ def _refine(family: DiniFamily, n: int, lo: float, hi: float, jlo: tuple[float, 
     return entry
 
 
+def _check_count(n, name: str, low: int) -> int:
+    """``n`` as an int in [low, MAX_ZEROS]: an int, or a float of integer value;
+    anything else, 2.5, inf or nan among them, raises DomainError."""
+    if isinstance(n, float) and n.is_integer():
+        n = int(n)
+    try:
+        n = operator.index(n)
+    except TypeError:
+        raise DomainError(f"{name} must be an integer, not {n!r}") from None
+    if not low <= n <= MAX_ZEROS:
+        raise DomainError(f"{name} must lie in [{low}, {MAX_ZEROS}]")
+    return n
+
+
 def find_zeros(family: DiniFamily, count: int, tol: float = DEFAULT_TOL) -> ZeroTable:
     """First ``count`` positive zeros of D_{a,nu}, each with a bracket of width
     <= tol across which D changes sign and a residual |D(zero)| <= 1e-10 * scale.
     The scan proves the count first and fails, rather than truncating, if fewer
     lie below the series cap x = 60; only then are the zeros refined, n = 1, 2..."""
-    count = int(count)
-    if not 1 <= count <= MAX_ZEROS:
-        raise DomainError(f"count must lie in [1, {MAX_ZEROS}]")
+    count = _check_count(count, "count", 1)
     tol = float(tol)
     if not 0.0 < tol <= 0.1:
         raise DomainError("tol must lie in (0, 0.1]")

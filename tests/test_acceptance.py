@@ -5,9 +5,11 @@ failure output); the same checks back ``dinicert selftest``.
 """
 
 import mpmath
+import numpy as np
 import pytest
 
-from dinicert import DomainError, selftest
+from dinicert import (DiniFamily, DomainError, Order, evaluate_criterion, find_zeros,
+                      ismail_lower_bound, selftest, starlike_sample)
 
 
 @pytest.fixture(scope="module")
@@ -34,6 +36,27 @@ def test_unknown_check_ids_are_rejected():
 def test_empty_check_selection_is_rejected():
     with pytest.raises(DomainError, match=r"^no check ids selected$"):
         selftest.run_checks(set())
+
+
+def _numpy_families():
+    """The 20 families selftest drew from numpy's generator before it drew
+    from the standard library's, in the same ranges and order."""
+    rng = np.random.default_rng(selftest.RANDOM_SEED)
+    return [(float(rng.uniform(0.8, 3.0)), float(rng.uniform(0.0, 2.0))) for _ in range(20)]
+
+
+@pytest.mark.parametrize("a, nu", _numpy_families())
+def test_former_selftest_families(a, nu):
+    """What checks 05, 07 and 11 assert, on each family they checked before:
+    the closed sum inside [truncated, truncated + tail], omega_1^2 above the
+    Ismail bound, and Re(z w'/w) > 0 at z = 0.99 where S <= 1 - 1e-9."""
+    fam = DiniFamily(a, Order(nu))
+    table = find_zeros(fam, 12)
+    crit = evaluate_criterion(fam, n_terms=12, table=table)
+    assert crit.truncated_value <= crit.closed_value <= crit.truncated_value + crit.tail_bound
+    assert table.entries[0].zero ** 2 > ismail_lower_bound(fam)
+    if crit.closed_value <= 1.0 - 1e-9:
+        assert starlike_sample(fam) > 0.0
 
 
 def _mp_sum(a, nu):

@@ -21,6 +21,7 @@ from dinicert import (
     Order,
     certify,
     critical_order,
+    evaluate_criterion,
     factorization_check,
     find_zeros,
     starlike_sample,
@@ -183,15 +184,6 @@ class TestStarlikeSample:
             func_m = (zm * w_prime_eval(f, zm) / w_eval(f, zm)).real
             assert abs(func_p - func_m) <= 1e-14
 
-    def test_cached_grid_is_read_only(self):
-        # factorization_check's ring, built on first use and kept
-        ring = certify_module._ring()
-        assert certify_module._ring() is ring
-        assert ring.shape == (49,)
-        assert not ring.flags.writeable
-        with pytest.raises(ValueError):
-            ring[0] = 0.5
-
     @pytest.mark.parametrize("x2", ["0.495", "0.9899"])
     def test_zero_inside_disk_refused(self, x2):
         # omega_1^2 mid-disk and just inside |z| = 0.99: w(0.99) < 0
@@ -283,6 +275,17 @@ def test_point_is_the_disk_minimum(a, nu, verdict):
     assert abs(row["starlike_re_at_0p99"] - value) <= math.ulp(value)
 
 
+def factorization_reference(f, n, table):
+    """(max deviation, envelope, max |partial product|) on the ring as numpy
+    arrays give them, the reference for ``factorization_check``."""
+    zs = np.array(table.zeros[:n])
+    ring = 0.9 * np.exp(1j * (np.pi * np.arange(49) / 48))
+    prod = ring * np.prod(1.0 - ring[:, None] / (zs * zs), axis=-1)
+    deviation = float(np.max(np.abs(w_eval(f, ring) - prod)))
+    scale = float(np.max(np.abs(prod)))
+    return deviation, scale * math.expm1(0.9 * criterion._tail_mass(f, table.zeros[:n])), scale
+
+
 @pytest.fixture(scope="module")
 def table18():
     return find_zeros(fam(2.0, 1.0), 18)
@@ -303,12 +306,42 @@ class TestFactorization:
         assert fc.within_envelope
         assert fc.max_deviation > 0.99 * fc.envelope
 
-    def test_ring_by_hand(self):
+    def test_ring_by_hand(self, monkeypatch, table18):
         # the ring factorization_check samples, 0.9 e^(i pi j / 48), bit for bit
+        seen = []
+
+        def spy(family, z):
+            seen.append(z)
+            return w_eval(family, z)
+        monkeypatch.setattr(certify_module, "w_eval", spy)
+        factorization_check(fam(2.0, 1.0), n_zeros=6, table=table18)
         thetas = [2.0 * math.pi * j / 96 for j in range(49)]
         by_hand = 0.9 * np.exp(1j * np.asarray(thetas))
-        assert np.array_equal(certify_module._ring(), by_hand)
-        assert certify_module._ring() is certify_module._ring()
+        assert len(seen) == 1 and type(seen[0]) is list
+        assert [(v.real, v.imag) for v in seen[0]] == [(v.real, v.imag) for v in by_hand.tolist()]
+
+    def test_matches_numpy_reference(self):
+        """A seeded sweep of 300 tables against the numpy computation this
+        check once was: the deviation within 4 eps of the largest partial
+        product, the envelope within 4 ulp, and the same ``within_envelope``.
+        Not bit for bit: numpy's complex |z| is not the C library's hypot,
+        and its complex quotient multiplies by a rounded reciprocal."""
+        rng = np.random.default_rng(27)
+        eps, tables = sys.float_info.epsilon, 0
+        while tables < 300:
+            f = fam(float(np.exp(rng.uniform(math.log(0.2), math.log(5.0)))),
+                    float(rng.uniform(-0.9, 15.0)))
+            try:
+                table = find_zeros(f, 18)
+            except NumericFailure:  # fewer than 18 zeros below x = 60
+                continue
+            tables += 1
+            for n in (0, 6, 12, 18):
+                deviation, envelope, scale = factorization_reference(f, n, table)
+                fc = factorization_check(f, n_zeros=n, table=table)
+                assert abs(fc.max_deviation - deviation) <= 4 * eps * scale
+                assert abs(fc.envelope - envelope) <= 4 * math.ulp(envelope)
+                assert fc.within_envelope == (deviation <= envelope)
 
     @pytest.mark.parametrize("n", [0, 6, 18])
     def test_deviation_peaks_on_ring(self, table18, n):
@@ -346,3 +379,26 @@ class TestFactorization:
         fc = factorization_check(fam(2.0, 1.0), n_zeros=0)
         assert fc.n_zeros == 0
         assert fc.within_envelope
+
+
+COUNTED = {
+    "find_zeros": lambda f, n: find_zeros(f, n),
+    "evaluate_criterion": lambda f, n: evaluate_criterion(f, n_terms=n),
+    "certify": lambda f, n: certify(f, zero_count=n),
+    "factorization_check": lambda f, n: factorization_check(f, n_zeros=n),
+}
+
+
+@pytest.mark.parametrize("entry", sorted(COUNTED))
+@pytest.mark.parametrize("count", [2.5, math.inf, math.nan])
+def test_non_integer_count_is_a_domain_error(entry, count):
+    # 2.5 once truncated to 2 zeros; inf and nan escaped as OverflowError
+    # and ValueError, outside the exit-2 contract
+    with pytest.raises(DomainError, match=r"must be an integer, not (2\.5|inf|nan)$"):
+        COUNTED[entry](fam(1.0, 0.5), count)
+
+
+@pytest.mark.parametrize("entry", sorted(COUNTED))
+def test_integral_float_count_is_the_int(entry):
+    f = fam(1.0, 0.5)
+    assert COUNTED[entry](f, 3.0) == COUNTED[entry](f, 3)

@@ -27,11 +27,14 @@ def run_inproc(argv):
     return code, out.getvalue(), err.getvalue()
 
 
-def run_subproc(argv):
+def run_python(*args):
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         p for p in (str(SRC), os.environ.get("PYTHONPATH")) if p))
-    return subprocess.run([sys.executable, "-m", "dinicert.cli", *argv],
-                          capture_output=True, text=True, env=env)
+    return subprocess.run([sys.executable, *args], capture_output=True, text=True, env=env)
+
+
+def run_subproc(argv):
+    return run_python("-m", "dinicert.cli", *argv)
 
 
 class TestExitCodes:
@@ -372,25 +375,40 @@ if sys.argv[1:]:
 print(" ".join(m for m in ("mpmath", "numpy") if m in sys.modules))
 """
 
+# The same with numpy blocked, as in an install without the test extra:
+# `import numpy` raises ImportError.  Exits with the command's exit code.
+NO_NUMPY_PROBE = """\
+import contextlib, io, sys
+sys.modules["numpy"] = None
+import dinicert.cli
+with contextlib.redirect_stdout(io.StringIO()):
+    sys.exit(dinicert.cli.main(sys.argv[1:]))
+"""
+
+COMMANDS = {
+    "certify": ["certify", "--a", "1", "--nu", "0.3"],
+    "sum": ["sum", "--a", "2", "--nu", "0.5"],
+    "critical": ["critical", "--a", "2"],
+    "eval": ["eval", "--a", "1", "--nu", "0.3", "--z", "0.3+0.4j"],
+    "zeros": ["zeros", "--a", "1", "--nu", "0.5", "--n", "3"],
+    "boundary": ["boundary", "--a", "1", "--nu", "0.5", "--samples", "4"],
+    "selftest": ["selftest"],
+}
+
 
 class TestImportFootprint:
-    """numpy loads only for selftest, mpmath's libmp only where a residual or
-    a fixed-point pair is formed: `import dinicert` and the other commands
-    start without either."""
+    """numpy loads for no command, mpmath's libmp only where a residual or a
+    fixed-point pair is formed (every `zeros` run and `selftest`):
+    `import dinicert` and the other commands start without either, and every
+    command runs with numpy absent."""
 
-    @pytest.mark.parametrize("argv, loaded", [
-        ([], ""),
-        (["certify", "--a", "1", "--nu", "0.3"], ""),
-        (["sum", "--a", "2", "--nu", "0.5"], ""),
-        (["critical", "--a", "2"], ""),
-        (["eval", "--a", "1", "--nu", "0.3", "--z", "0.3+0.4j"], ""),
-        (["zeros", "--a", "1", "--nu", "0.5", "--n", "3"], "mpmath"),
-        (["boundary", "--a", "1", "--nu", "0.5", "--samples", "4"], ""),
-    ], ids=["import", "certify", "sum", "critical", "eval", "zeros", "boundary"])
-    def test_heavy_imports(self, argv, loaded):
-        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-            p for p in (str(SRC), os.environ.get("PYTHONPATH")) if p))
-        run = subprocess.run([sys.executable, "-c", FOOTPRINT_PROBE, *argv],
-                             capture_output=True, text=True, env=env)
+    @pytest.mark.parametrize("name", ["import", *COMMANDS])
+    def test_heavy_imports(self, name):
+        run = run_python("-c", FOOTPRINT_PROBE, *COMMANDS.get(name, []))
         assert run.returncode == 0, run.stderr
-        assert run.stdout.strip() == loaded
+        assert run.stdout.strip() == ("mpmath" if name in ("zeros", "selftest") else "")
+
+    @pytest.mark.parametrize("name", sorted(COMMANDS))
+    def test_runs_without_numpy(self, name):
+        run = run_python("-c", NO_NUMPY_PROBE, *COMMANDS[name])
+        assert run.returncode == 0, run.stderr
