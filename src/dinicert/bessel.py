@@ -4,13 +4,12 @@ Three evaluators give J_nu(x) and J_{nu+1}(x) together:
 
 - ``_j_ratio``, (J_mu, J_{mu+1}) / |J_mu| for mu = nu or nu + 1, by a backward
   continued fraction in float-only arithmetic, each level adding 2 nu to a
-  tabled 2k (fl(2 nu + 2k) = 2 fl(nu + k) exactly): the zero scan and
-  Halley, and rho = J_{nu+2}(1) / J_{nu+1}(1) for certify's modulus test
-  and nu_a;
+  tabled 2k (fl(2 nu + 2k) = 2 fl(nu + k) exactly): the zero scan, Halley,
+  nu_a, and at x = 1 all of ``certify``'s Delta, pole test and S;
 - ``_j_sums``, the integer sums of one fixed-point pass over J_nu's leading
   term: each zero's finish and certificate (``zeros._d_lead``), and
   ``_j_pair`` beyond the double path;
-- ``_j_pair``, the pair itself: the public J, J', D and D', the closed sum S,
+- ``_j_pair``, the pair itself: the public J, J', D and D', ``sum_closed``,
   the critical equation and nu_a's certificate, and Halley for subnormal a.
 
 ``_j_pair`` sums the ascending power series with the term-ratio

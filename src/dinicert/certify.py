@@ -7,11 +7,10 @@ of every derivative holds exactly when sum 1/(|z_n| - 1) <= 1.  For
 w_{a,nu} the zeros are z_n = omega_n^2, so the hypothesis reads
 omega_1 > 1 and the sum is S(a,nu).
 
-The decision is made on the closed-form sum (exact up to Bessel
-evaluation error) while the truncated sum with its tail bound is
-attached as an independent enclosure.  Re(z w'/w) at its extremal point
-z = 0.99 and a product-versus-series factorization check on the ring
-|z| = 0.9 provide corroborating numerical evidence, not proof.
+The verdict is decided on the closed-form sum, from one Bessel ratio; the
+truncated sum with its tail bound is an independent enclosure, and Re(z w'/w)
+at its extremal point z = 0.99 and a product-versus-series factorization check
+on the ring |z| = 0.9 are corroborating numerical evidence, not proof.
 """
 
 from __future__ import annotations
@@ -21,8 +20,8 @@ import math
 from dataclasses import dataclass
 
 from .bessel import _j_ratio, _w_sums, w_eval
-from .criterion import BOUNDARY_BAND, SumCriterion, _criterion, _tail_mass, sum_closed
-from .errors import NumericFailure, PoleError
+from .criterion import BOUNDARY_BAND, POLE_REL, SumCriterion, _criterion, _tail_mass
+from .errors import NumericFailure
 from .families import DiniFamily
 from .zeros import ZeroTable, _check_count, find_zeros
 
@@ -113,27 +112,28 @@ def certify(family: DiniFamily, zero_count: int = 12) -> CertReport:
 
     The modulus hypothesis needs no zero: D > 0 on (0, omega_1), and D < 0 on
     [j_{nu,1}, j_{nu+1,1}] (there J_nu <= 0 < J_{nu+1}, by interlacing), so
-    omega_2 > j_{nu+1,1} > j_{0,1} ~ 2.405 and omega_1 <= 1 exactly when
-    D(1) <= 0.  The recurrence gives D(1) = J_{nu+1}(1) Delta, J_{nu+1}(1) > 0,
-    Delta = a (2 nu + 2 - rho) - 1, rho = J_{nu+2}(1) / J_{nu+1}(1): Delta decides.
+    omega_2 > j_{nu+1,1} > j_{0,1} ~ 2.405 and omega_1 <= 1 exactly when D(1) <= 0.
+    One ``_j_ratio`` gives rho = J_{nu+2}(1) / J_{nu+1}(1), and by DLMF 10.6.1
+    D(1) / J_{nu+1}(1) = Delta = a B - 1, B = 2 nu + 2 - rho, J_{nu+1}(1) > 0, and
+    S = (a + 2 - rho) / (2 Delta), exact ratios of integers as a, nu and rho are
+    binary rationals: Delta's sign is exact, and its pole band |Delta| <= POLE_REL
+    (a |B| + 1) (D(1)'s test over J_{nu+1}(1)) and S round once.
     """
     zero_count = _check_count(zero_count, "n_terms", 0)
 
-    # A Dini zero numerically at radius 1 makes the criterion ill-posed;
-    # decide that first so the verdict does not hinge on which side of 1
-    # the refined zero happens to round to.
-    try:
-        s = sum_closed(family)
-    except PoleError:
-        s = None
-    a, nu = family.a, family.nu
-    no_sum = s is None or a * (2.0 * nu + 2.0 - _j_ratio(nu)[1]) - 1.0 <= 0.0
+    (an, ad), (p, q) = family.a.as_integer_ratio(), family.nu.as_integer_ratio()
+    rn, rd = _j_ratio(family.nu)[1].as_integer_ratio()
+    b, den = an * (2 * (p + q) * rd - rn * q), ad * q * rd  # b = a B den
+    delta = b - den  # Delta den
+    pole = abs(delta) / (abs(b) + den) <= POLE_REL
+    no_sum = pole or delta <= 0
     table = find_zeros(family, 1 if no_sum else max(zero_count, 1))
     margin = table.entries[0].zero - 1.0
     if no_sum:
-        return CertReport(family, VERDICT_BOUNDARY if s is None else VERDICT_INAPPLICABLE,
-                          None, margin, None, zero_at_unit_radius=s is None)
+        return CertReport(family, VERDICT_BOUNDARY if pole else VERDICT_INAPPLICABLE,
+                          None, margin, None, zero_at_unit_radius=pole)
 
+    s = q * (an * rd + 2 * ad * rd - rn * ad) / (2 * delta)
     verdict = (VERDICT_BOUNDARY if abs(s - 1.0) <= BOUNDARY_BAND
                else VERDICT_CERTIFIED if s <= 1.0 else VERDICT_REFUTED)
     # 1 - S(sqrt 0.99) > 0 wherever S(1) <= 1, as S(r) grows with r: a

@@ -60,19 +60,20 @@ class CriticalOrder:
 
 def _sum_from_pair(a: float, nu: float, j0: float, j1: float) -> float:
     den = a * j0 - j1  # D_{a,nu}(1)
-    scale = abs(a * j0) + abs(j1)
-    if abs(den) <= POLE_REL * scale:
+    if abs(den) <= POLE_REL * (abs(a * j0) + abs(j1)):
         raise PoleError(
             f"D_(a={a:g},nu={nu:g})(1) vanishes within {POLE_REL:g} of scale; "
             "a Dini zero lies at radius 1")
+    if min(abs(j0), abs(j1)) < 2.0 ** -1032:  # fewer than about 42 bits left
+        raise NumericFailure(f"J_nu(1) or J_(nu+1)(1) is subnormal at nu={nu:g}; S unresolved")
     return (j0 + (a - 2.0 * nu) * j1) / (2.0 * den)
 
 
 def sum_closed(family: DiniFamily) -> float:
     """Closed-form value of S(a,nu) = sum over n of 1/(omega_n^2 - 1).
 
-    Raises PoleError when D_{a,nu}(1) is numerically zero, i.e. some
-    Dini zero sits at 1 and the criterion is ill-posed.
+    Raises PoleError when D_{a,nu}(1) is numerically zero (a Dini zero at 1),
+    and NumericFailure when the J pair at 1 is subnormal (nu >~ 150).
     """
     return _sum_from_pair(family.a, family.nu, *_j_pair(family.nu, 1.0))
 

@@ -103,33 +103,58 @@ class TestVerdicts:
             certify(fam(1.0, nu), zero_count=n)
 
     def test_one_closed_sum_per_verdict(self, monkeypatch):
-        # the pole probe's S is the reported one: one J pair at x = 1
-        calls, pair = [], criterion._j_pair
-        def spy(nu, x):
+        # Delta, the pole test and S all come from one ratio at x = 1: no
+        # J pair and no sum_closed
+        calls, ratio = [], certify_module._j_ratio
+        def spy(nu, x=1.0, shift=1):
             calls.append(x)
-            return pair(nu, x)
-        monkeypatch.setattr(criterion, "_j_pair", spy)
+            return ratio(nu, x, shift)
+        def no_pair(*args):
+            raise AssertionError("a J pair was formed")
+        monkeypatch.setattr(certify_module, "_j_ratio", spy)
+        for mod in ("dinicert.criterion", "dinicert.zeros"):
+            monkeypatch.setattr(importlib.import_module(mod), "_j_pair", no_pair)
+        monkeypatch.setattr(criterion, "sum_closed", no_pair)
         rep = certify(fam(1.0, 0.3))
         assert rep.verdict == "refuted"
         assert calls == [1.0]
 
     @pytest.mark.parametrize("a, nu, verdict", [(1.0, 0.3, "refuted"),
                                                 (1.0, -0.5, "inapplicable"),
-                                                (1.0, 200.0, "boundary")])
+                                                (1.0, NU_POLE_A1, "boundary"),
+                                                (1.0, 200.0, "certified")])
     def test_one_zero_table_per_verdict(self, monkeypatch, a, nu, verdict):
-        # refuted, inapplicable and the pole route each localise zeros once;
-        # (1, 200) takes the pole route while J_200(1) underflows, so
-        # sum_closed raises PoleError, although omega_1 ~ 20
+        # refuted, inapplicable and the pole route (Delta inside the pole
+        # band) each localise zeros once; (1, 200) is decided from rho, though
+        # J_200(1) underflows, and asks for its one zero below x = 60
         sizes, find = [], certify_module.find_zeros
         def spy(family, n, *args, **kwargs):
             sizes.append(n)
             return find(family, n, *args, **kwargs)
         monkeypatch.setattr(certify_module, "find_zeros", spy)
         monkeypatch.setattr(criterion, "find_zeros", spy)
-        rep = certify(fam(a, nu))
+        rep = certify(fam(a, nu), zero_count=1 if nu == 200.0 else 12)
         assert rep.verdict == verdict
-        assert rep.zero_at_unit_radius == (nu == 200.0)
+        assert rep.zero_at_unit_radius == (verdict == "boundary")
         assert sizes == ([12] if verdict == "refuted" else [1])
+
+    @pytest.mark.parametrize("n", [0, 1])
+    @pytest.mark.parametrize("a, nu, s", [
+        (0.012150575550725844, 155.03710009849794, 0.3597922539645883),
+        (0.008068078246003427, 154.4412774809384, 0.6646576375996474),
+        (1.0, 200.0, 0.0037375850877725456)])
+    def test_certified_where_the_pair_is_subnormal(self, n, a, nu, s):
+        # J_nu(1) is subnormal at the first two, where a J pair's S reads 9.07
+        # and 1.135 (refuted), and 0 at the third; each S is 50-digit mpmath's
+        rep = certify(fam(a, nu), zero_count=n)
+        assert rep.verdict == "certified"
+        assert rep.sum_criterion.closed_value == s
+
+    def test_certified_with_disk_minimum_at_zero_refused(self, monkeypatch):
+        # a certified S with min Re(z w'/w) <= 0 contradicts itself: exit 3
+        monkeypatch.setattr(certify_module, "starlike_sample", lambda family: -1e-5)
+        with pytest.raises(NumericFailure, match=r"closed sum S = 0\.778.* = -1e-05 <= 0"):
+            certify(fam(1.0, 0.5))
 
     def test_enclosure_attached(self):
         rep = certify(fam(2.0, 1.0))
@@ -155,6 +180,46 @@ def test_verdict_against_mpmath(a, nu):
         assert verdict == "inapplicable"
     else:
         assert verdict == ("certified" if s < 1 else "refuted")
+
+
+def test_ratio_sum_and_verdict_against_mpmath():
+    """certify's S within 1 ulp of 50-digit mpmath, plus rho's 2 eps carried
+    through dS/drho = (a (a + 2 - rho) - Delta) / (2 Delta^2), and its verdict
+    the 50-digit one, or ``boundary`` inside a band; a log-uniform in
+    [1e-3, 1e3], nu in (-1, 400], one zero.  Draws whose one-zero table exits 3
+    (omega_1 above x = 60, or a refinement failure at small a) are skipped
+    and counted."""
+    eps, decided, skipped = sys.float_info.epsilon, [], []
+
+    @settings(max_examples=300, derandomize=True, deadline=None)
+    @given(log_a=st.floats(-3.0, 3.0), nu=st.floats(-1.0, 400.0, exclude_min=True))
+    def check(log_a, nu):
+        a = 10.0 ** log_a
+        with mpmath.workdps(50):
+            m, v = mpmath.mpf(a), mpmath.mpf(nu)
+            rho = mpmath.besselj(v + 2, 1) / mpmath.besselj(v + 1, 1)
+            b = 2 * v + 2 - rho
+            delta = m * b - 1
+            s = (m + 2 - rho) / (2 * delta)
+            pole = abs(delta) <= 1e-10 * (m * abs(b) + 1)
+            tol = math.ulp(float(s)) + float(abs((m * (m + 2 - rho) - delta) / (2 * delta ** 2))
+                                             * 2 * eps * rho)
+        want = ("boundary" if pole or (delta > 0 and abs(s - 1) <= 1e-9) else
+                "inapplicable" if delta < 0 else "certified" if s < 1 else "refuted")
+        try:
+            find_zeros(fam(a, nu), 1)
+        except NumericFailure:
+            skipped.append((a, nu))
+            return
+        decided.append((a, nu))
+        rep = certify(fam(a, nu), zero_count=1)
+        near = abs(delta) <= 2e-10 * (m * abs(b) + 1) or abs(s - 1) <= 1e-9 + tol
+        assert rep.verdict == want or (rep.verdict == "boundary" and near)
+        if rep.sum_criterion is not None:
+            assert abs(rep.sum_criterion.closed_value - s) <= tol
+
+    check()
+    assert len(decided) >= 200, (len(decided), len(skipped))
 
 
 def a_for_first_zero(x2):

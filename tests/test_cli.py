@@ -252,12 +252,15 @@ class TestCertifyCommand:
 
     @pytest.mark.parametrize("n", ["1", "0"])
     def test_certified_with_negative_disk_minimum_refused(self, n):
-        # the closed sum reads S = 0.99835 here, while 50-digit mpmath gives
-        # 1.0204, and the w series 1 - S(sqrt 0.99) = -1.64e-5: no certificate
-        code, out, err = run_inproc(["certify", "--a", "0.00639225", "--nu", "154",
-                                     "--n", n])
-        assert code == 3 and out == ""
-        assert "closed sum S = 0.998" in err and "min Re(z w'/w) = -1.6" in err
+        # J_154(1) is subnormal: a J pair's S reads 0.99835 (certified), and
+        # the w series' 1 - S(sqrt 0.99) = -1.64e-5 contradicts it; 50-digit
+        # mpmath gives S = 1.0203922183263629, so the verdict is refuted
+        code, out, _ = run_inproc(["certify", "--a", "0.00639225", "--nu", "154",
+                                   "--n", n])
+        assert code == 0
+        results = json.loads(out)["results"]
+        assert results["verdict"] == "refuted"
+        assert results["sum_criterion"]["closed_value"] == 1.020392218326363
 
     def test_roundtrip(self):
         _, out, _ = run_inproc(["certify", "--a", "1", "--nu", "0.5"])
@@ -387,6 +390,8 @@ with contextlib.redirect_stdout(io.StringIO()):
 
 COMMANDS = {
     "certify": ["certify", "--a", "1", "--nu", "0.3"],
+    # J_200(1) underflows, so a J pair at x = 1 would need libmp
+    "certify_nu200": ["certify", "--a", "1", "--nu", "200", "--n", "1"],
     "sum": ["sum", "--a", "2", "--nu", "0.5"],
     "critical": ["critical", "--a", "2"],
     "eval": ["eval", "--a", "1", "--nu", "0.3", "--z", "0.3+0.4j"],
@@ -398,9 +403,9 @@ COMMANDS = {
 
 class TestImportFootprint:
     """numpy loads for no command, mpmath's libmp only where a residual or a
-    fixed-point pair is formed (every `zeros` run and `selftest`):
-    `import dinicert` and the other commands start without either, and every
-    command runs with numpy absent."""
+    fixed-point pair is formed (every `zeros` run and `selftest`, never
+    `certify`): `import dinicert` and the other commands start without
+    either, and every command runs with numpy absent."""
 
     @pytest.mark.parametrize("name", ["import", *COMMANDS])
     def test_heavy_imports(self, name):

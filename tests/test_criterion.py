@@ -57,6 +57,18 @@ class TestSumClosed:
         with pytest.raises(PoleError):
             sum_closed(DiniFamily(1.0, Order(NU_POLE_A1)))
 
+    @pytest.mark.parametrize("nu", [152.0, 155.0, 156.0])
+    def test_subnormal_pair_refused(self, nu):
+        # J_nu(1) or J_{nu+1}(1) below 2^-1032 keeps fewer than about 42 bits
+        with pytest.raises(NumericFailure, match="subnormal") as info:
+            sum_closed(DiniFamily(1.0, Order(nu)))
+        assert not isinstance(info.value, PoleError)
+
+    def test_underflowed_pair_is_a_pole(self):
+        # both J values round to 0 at nu = 200: D(1) = 0 within any scale
+        with pytest.raises(PoleError):
+            sum_closed(DiniFamily(1.0, Order(200.0)))
+
 
 class TestSumTruncated:
     def test_exact_partial_and_tail(self):
