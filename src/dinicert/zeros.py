@@ -28,22 +28,34 @@ the 2.8e6 past which the certificate fails.  For a subnormal a, which a - x r
 cannot resolve, Halley takes ``_j_pair`` (doubles, for x <= 3): else a = 5e-324,
 nu = -0.9999999999999999 fails at x = 2.85e-170, not omega_1 = 3.3e-170.
 
-Refinement.  Bracket-safeguarded Halley starts at the shorter step from the
-scan step's end values that lands inside, else (and for a subnormal a) at the
-middle.  D'' comes from the Bessel equation; Halley's c = 1 - D D'' / (2 D'^2)
-is taken in (0.5, 2) only, else Newton's step.  It stops at a Newton step or
-bracket of one ulp of x, or after a step <= 1e-6 x that shrank 1000-fold (steps
-of x / (nu + 2), where D ~ x^(nu+2), do not), leaving the rest to the finish; a
-rejected step bisects, geometrically across more than a factor 4.  The finish
-takes ``_d_lead``, one fixed-point pass, at x: D / lead = num / den exactly,
-num = an s0 + 2 ad s1 and den = ad 2^prec for a = an / ad, so d = num / den
-rounds once.  Up to two Newton steps on d move x, bounded by the scan step, not
-by the Newton bracket, whose ends took sign D from rounded values.  Against
-40-digit mpmath the worst of 1,690 zeros (200 random tables and the zero-tables
-benchmark inputs) is 0.4998 ulp.
+Refinement.  Bracket-safeguarded Halley starts where the Liouville-Green phase
+of u = sqrt(x) J_nu predicts the zero (DLMF 2.7, 10.18).  u'' + q u = 0, q = 1 -
+(nu^2 - 1/4) / x^2, and the modified Pruefer angle theta (u = R q^(-1/4) sin
+theta, u' = R q^(1/4) cos theta) has theta' = sqrt q + (q' / 4q) sin 2 theta;
+at a scan end u'/u = (nu + 1/2) / x - r gives theta mod pi, and D = 0 exactly
+where theta = pi/2 + atan((a - nu - 1/2) / (x sqrt q)) mod pi.  Two fixed-point
+steps solve that from the end nearer a linear first guess (Simpson's mean of
+sqrt q, the correction integrated for theta linear).  Below x = 1/2 or x^2 =
+1.2 (nu^2 - 1/4), where the model is poor (a = 1.3e-55: 0.64 for a zero at
+6.1e-28), where the prediction lands outside the step, and for a subnormal a,
+Halley starts at the shorter step from the end values that lands inside, else
+at the middle.  Only the start moves; every result keeps its bits.  D'' comes
+from the Bessel equation; Halley's c = 1 - D D'' / (2 D'^2) is taken in (0.5,
+2) only, else Newton's step.  It stops at a Newton step or bracket of one ulp
+of x, or after a step <= 1e-6 x that shrank 1000-fold (steps of x / (nu + 2),
+where D ~ x^(nu+2), do not; a predicted start is a step of its distance to the
+nearer end), leaving the rest to the finish; a rejected step bisects,
+geometrically across more than a factor 4.  The finish takes ``_d_lead``, one
+fixed-point pass, at x: D / lead = num / den exactly, num = an s0 + 2 ad s1 and
+den = ad 2^prec for a = an / ad, so d = num / den rounds once.  Up to two
+Newton steps on d move x, bounded by the scan step, not by the Newton bracket,
+whose ends took sign D from rounded values.  Against 40-digit mpmath the worst
+of 1,690 zeros (200 random tables and the zero-tables benchmark inputs) is
+0.4998 ulp.
 
 Certificate.  The bracket [x - 0.49 tol, x + 0.49 tol] must round to width
-<= tol inside x > 0, D must change sign across it, and at x |D'| > 1e-8 scale
+<= tol around x, inside x > 0 (a tol below the double spacing at x collapses
+it, a width failure), D must change sign across it, and at x |D'| > 1e-8 scale
 and |D| <= 1e-10 scale, scale = |a J_nu| + |x J_{nu+1}|; else NumericFailure.
 The sign change is proved from the finish's own values at x by an interval
 Newton test (Moore, Interval Analysis, 1966; ``_interval_newton``): D' keeps
@@ -180,11 +192,12 @@ def _d_lead(a: float, nu: float, x: float) -> tuple[int, int, float, float, int]
 
 
 def _interval_newton(a: float, nu: float, x: float, blo: float, bhi: float,
-                     d: float, dp: float, j0: float, j1: float) -> bool:
+                     j0: float, j1: float, *pairs: tuple[float, float]) -> bool:
     """True if D changes sign across [blo, bhi], blo < x < bhi, proved from the
-    finish's values at x in lead units: d = D / lead and j0, j1 rounded once,
-    dp = D' / lead formed from them.  (J_nu, J'_nu) solves Y' = A Y with
-    A = [[0, 1], [nu^2 / xi^2 - 1, -1 / xi]] (DLMF 10.2.1), and |A| <= L =
+    finish's values at x in lead units for each (d, dp) of ``pairs``: d = D /
+    lead and j0, j1 rounded once, dp = D' / lead formed from them.  (J_nu,
+    J'_nu) solves Y' = A Y with A = [[0, 1], [nu^2 / xi^2 - 1, -1 / xi]]
+    (DLMF 10.2.1), and |A| <= L =
     1 + nu^2 / blo^2 + 1 / blo on the bracket in the infinity-norm, so by
     Gronwall |J_nu|, |J'_nu| <= m = |Y(x)| e^(L delta) there, delta = max|xi - x|.
     The same equation gives D'' = -((a - nu)(1 - nu^2 / xi^2) + 1 + nu^2 / xi^2)
@@ -194,14 +207,18 @@ def _interval_newton(a: float, nu: float, x: float, blo: float, bhi: float,
     towards either end, h = min|end - x|: past 0 when that exceeds |d| and its
     rounding.  err, 32 eps times the sum of dp's terms, covers dp's rounding
     and that of this test's own sums of non-negative terms.  Any inf or nan
-    fails the comparison, which then leaves the decision to the end check."""
+    fails the comparison, which then leaves the decision to the end check.
+    The bound (h, m, eta, err) depends on no pair: it is formed once for all."""
     h, dx = min(x - blo, bhi - x), max(x - blo, bhi - x)
     q, g = (nu / blo) * (nu / blo), abs(a - nu)
     t = (1.0 + q + 1.0 / blo) * dx  # L delta; exp overflows past 709.78
     m = max(abs(j0), abs(nu / x * j0) + abs(j1)) * (math.exp(t) if t < 709.0 else math.inf)
     eta = dx * m * ((g + 1.0) * (1.0 + q) + q * blo + bhi + g / blo)
     err = 32.0 * sys.float_info.epsilon * ((abs(a * nu / x) + x) * abs(j0) + g * abs(j1))
-    return math.isfinite(dp) and abs(d) + math.ulp(d) < (abs(dp) - err - eta) * h
+    for d, dp in pairs:
+        if not (math.isfinite(dp) and abs(d) + math.ulp(d) < (abs(dp) - err - eta) * h):
+            return False
+    return True
 
 
 def _halley(a: float, nu: float, x: float, j0: float, j1: float) -> tuple[float, float, float]:
@@ -213,15 +230,45 @@ def _halley(a: float, nu: float, x: float, j0: float, j1: float) -> tuple[float,
     return d, t, t / c if 0.5 < c < 2.0 else t
 
 
+def _phase_start(a: float, nu: float, lo: float, hi: float, jlo: tuple[float, float],
+                 jhi: tuple[float, float]) -> float | None:
+    """Halley's start in the scan step (lo, hi) from the Liouville-Green phase,
+    as the module docstring describes, or None; jlo and jhi as in ``_refine``."""
+    c2, h, g = nu * nu - 0.25, nu + 0.5, a - nu - 0.5
+    if not (lo >= 0.5 and lo * lo > 1.2 * c2):
+        return None
+    # At an end, x sqrt q = sqrt(x^2 - c2) and theta - theta* is -atan2(...) mod pi
+    plo, phi = math.sqrt(lo * lo - c2), math.sqrt(hi * hi - c2)
+    rlo, rhi = lo * jlo[0] * jlo[1], hi * jhi[0] * jhi[1]  # x J_{nu+1} / J_nu
+    up = math.atan2(plo * (a - rlo), plo * plo - g * (h - rlo)) % math.pi
+    down = -math.atan2(phi * (a - rhi), phi * phi - g * (h - rhi)) % math.pi
+    x = lo + (hi - lo) * up / (up + down)
+    # pe = theta(e) - pi/2 on the branch that meets theta* - pi/2 = atan(g / (x sqrt q))
+    e, pe, sqe = ((lo, math.atan(g / plo) - up, plo / lo) if x - lo <= hi - x
+                  else (hi, math.atan(g / phi) + down, phi / hi))
+    for _ in range(2):
+        m, px = 0.5 * (e + x), math.sqrt(x * x - c2)
+        qm, i = 1.0 - c2 / (m * m), math.atan(g / px) - pe  # i = theta(x) - theta(e)
+        # theta' averaged over (e, x): Simpson's sqrt q; (q' / 4q)(m) sin 2 theta
+        den = ((sqe + 4.0 * math.sqrt(qm) + px / x) / 6.0 - c2 / (2.0 * m * m * m * qm)
+               * math.sin(2.0 * pe + i) * (math.sin(i) / i if i else 1.0))
+        if not (den > 0.0 and lo < (x := e + i / den) < hi):
+            return None
+    return x
+
+
 def _refine(family: DiniFamily, n: int, lo: float, hi: float, jlo: tuple[float, float],
             jhi: tuple[float, float], tol: float) -> ZeroEntry:
     """Zero number n in the scan step (lo, hi), where ``_j_ratio`` gave jlo and
-    jhi, refined and certified as the module docstring describes."""
+    jhi, refined and certified as the module docstring describes: Halley from
+    ``_phase_start``'s prediction, else from the end values or the middle."""
     a, nu = family.a, family.nu
     slo, step_lo, step_hi = _sign(_d_from_pair(a, lo, *jlo)), lo, hi
     by_pair = a < sys.float_info.min  # a - x r ~ a near the zero
     x, prev = 0.5 * (lo + hi), math.inf
-    for end, j in () if by_pair else ((lo, jlo), (hi, jhi)):
+    if not by_pair and (y := _phase_start(a, nu, lo, hi, jlo, jhi)) is not None:
+        x, prev = y, min(y - lo, hi - y)
+    for end, j in () if by_pair or prev < math.inf else ((lo, jlo), (hi, jhi)):
         if lo < (y := end - _halley(a, nu, end, *j)[2]) < hi and abs(y - end) < prev:
             x, prev = y, abs(y - end)
     for _ in range(100):
@@ -252,17 +299,17 @@ def _refine(family: DiniFamily, n: int, lo: float, hi: float, jlo: tuple[float, 
         res = abs(d + dp * dx) + math.ulp(d) + math.ulp(dp * dx)
         p = min(min(scale * w / 8.0, 0.5 * RESIDUAL_REL * scale - res) / abs(dx),
                 abs(dp) - 2e-8 * scale)
-        if 0.0 < blo < x < bhi and bhi - blo <= tol and p > 0.0 and all(  # (0.0, p): E < p
-                _interval_newton(a, nu, x, blo, bhi, *v, j0, j1) for v in ((d, dp), (0.0, p))):
+        if 0.0 < blo < x < bhi and bhi - blo <= tol and p > 0.0 and _interval_newton(
+                a, nu, x, blo, bhi, j0, j1, (d, dp), (0.0, p)):  # (0.0, p): E < p
             return ZeroEntry(n, x_new, blo, bhi, (a, nu))
         x = x_new
 
     blo, bhi = x - 0.49 * tol, x + 0.49 * tol
-    if not (0.0 < blo and bhi - blo <= tol):
+    if not (0.0 < blo < x < bhi and bhi - blo <= tol):
         raise NumericFailure(
             f"zero {n} near x={x!r} could not be refined to a bracket of width "
             f"<= {tol:g} inside x > 0")
-    if not (_interval_newton(a, nu, x, blo, bhi, d, dp, j0, j1)
+    if not (_interval_newton(a, nu, x, blo, bhi, j0, j1, (d, dp))
             or _d_lead(a, nu, blo)[0] * _d_lead(a, nu, bhi)[0] < 0):
         raise NumericFailure(
             f"bracket [{blo!r}, {bhi!r}] has no sign change; zero {n} could not "

@@ -1,9 +1,12 @@
 """Zero localization tests against half-integer closed forms and mpmath."""
 
+import contextlib
 import functools
+import io
 import math
 import random
 import re
+import sys
 
 import mpmath
 import pytest
@@ -20,6 +23,7 @@ from dinicert import (
     bessel_j_prime,
     certify,
     cli,
+    critical_order,
     dini_eval,
     dini_prime,
     evaluate_criterion,
@@ -75,6 +79,13 @@ def mp_root_near(a, nu, z):
 
 def ulps_off(z, root):
     return float(abs(mpmath.mpf(z) - root)) / math.ulp(z)
+
+
+def cli_run(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = cli.main(argv)
+    return code, out.getvalue(), err.getvalue()
 
 
 def eager_residual(a, nu, x):
@@ -189,6 +200,19 @@ class TestFindZeros:
         # the first zero, 0.00446, lies nearer 0 than 0.49 tol
         with pytest.raises(NumericFailure, match="could not be refined"):
             find_zeros(DiniFamily(0.01, Order(-0.999)), 1, tol=0.05)
+
+    # 0.49 tol is below half the double spacing at pi / 2, so x -/+ 0.49 tol
+    # rounds to x: the bracket collapses, which is a width failure
+    @pytest.mark.parametrize("tol", [1e-16, 1e-300])
+    def test_collapsed_bracket_is_a_width_failure(self, tol):
+        message = (f"zero 1 near x=1.5707963267948966 could not be refined to a bracket "
+                   f"of width <= {tol:g} inside x > 0")
+        with pytest.raises(NumericFailure) as exc:
+            find_zeros(DiniFamily(1.0, Order(0.5)), 1, tol=tol)
+        assert str(exc.value) == message
+        code, out, err = cli_run(["zeros", "--a", "1", "--nu", "0.5", "--n", "1",
+                                  "--tol", repr(tol)])
+        assert (code, out, err) == (3, "", f"numeric failure: {message}\n")
 
     def test_spacing_invariants(self):
         zs = find_zeros(DiniFamily(2.0, Order(1.0)), 6).zeros
@@ -323,10 +347,11 @@ class TestIntervalNewton:
 
     @staticmethod
     def at(a, nu, x, tol):
-        """_interval_newton's arguments for the bracket x -/+ 0.49 tol."""
+        """_interval_newton's arguments for the bracket x -/+ 0.49 tol and the
+        finish's (d, dp) at x."""
         num, den, j0, j1, _ = zeros._d_lead(a, nu, x)
         dp = zeros._dprime_from_pair(a, nu, x, j0, j1)
-        return a, nu, x, x - 0.49 * tol, x + 0.49 * tol, num / den, dp, j0, j1
+        return a, nu, x, x - 0.49 * tol, x + 0.49 * tol, j0, j1, (num / den, dp)
 
     def test_bracket_straddling_a_zero_of_j(self):
         # a = 100 puts omega_1 0.024 below j_{0,1}, inside a bracket of width 0.1
@@ -347,16 +372,53 @@ class TestIntervalNewton:
     def test_refuses_vanishing_derivative(self):
         z = find_zeros(DiniFamily(1.0, Order(0.3)), 1).entries[0].zero
         args = self.at(1.0, 0.3, z, 1e-12)
-        assert zeros._interval_newton(*args[:6], 0.0, *args[7:]) is False
+        assert zeros._interval_newton(*args[:7], (args[7][0], 0.0)) is False
 
     # At a = 1e308 D' overflows: +inf below j_{5,1} = 8.7715 and -inf above it
     @pytest.mark.parametrize("x", [8.0, 9.3245])
     def test_refuses_non_finite_derivative(self, x):
         args = self.at(1e308, 5.0, x, 1e-12)
-        assert not math.isfinite(args[6])
+        assert not math.isfinite(args[7][1])
         assert zeros._interval_newton(*args) is False
         for dp in (math.nan, math.inf, -math.inf):
-            assert zeros._interval_newton(*args[:5], 0.0, dp, *args[7:]) is False
+            assert zeros._interval_newton(*args[:7], (0.0, dp)) is False
+
+    @staticmethod
+    def one_pair(a, nu, x, blo, bhi, d, dp, j0, j1):
+        """The test for one pair, as it read before the bound was shared."""
+        h, dx = min(x - blo, bhi - x), max(x - blo, bhi - x)
+        q, g = (nu / blo) * (nu / blo), abs(a - nu)
+        t = (1.0 + q + 1.0 / blo) * dx
+        m = max(abs(j0), abs(nu / x * j0) + abs(j1)) * (math.exp(t) if t < 709.0 else math.inf)
+        eta = dx * m * ((g + 1.0) * (1.0 + q) + q * blo + bhi + g / blo)
+        err = 32.0 * sys.float_info.epsilon * ((abs(a * nu / x) + x) * abs(j0) + g * abs(j1))
+        return math.isfinite(dp) and abs(d) + math.ulp(d) < (abs(dp) - err - eta) * h
+
+    def test_one_bound_for_two_pairs(self):
+        # random brackets and values near a zero, each value inf, -inf or nan
+        # one time in 20, and the finish's values next to certified zeros
+        rng, odd = random.Random(17), (math.inf, -math.inf, math.nan)
+        cases, decided = [], 0
+        for _ in range(3000):
+            x = rng.uniform(0.5, 60.0)
+            w = x * 10.0 ** rng.uniform(-14.0, -6.0)
+            dp = rng.choice((-1.0, 1.0)) * rng.uniform(0.1, 10.0)
+            v = [rng.choice(odd) if rng.random() < 0.05 else u for u in (
+                rng.uniform(-1.0, 1.0), rng.uniform(-1.0, 1.0), rng.uniform(-2.0, 2.0) * dp * w,
+                dp, rng.uniform(0.0, 2.0) * abs(dp))]
+            cases.append((rng.uniform(0.01, 5.0), rng.uniform(-0.99, min(x, 40.0)), x, x - w,
+                          x + w, v[0], v[1], (v[2], v[3]), (0.0, v[4])))
+        for fam, count in ((DiniFamily(1.0, Order(0.3)), 8), (DiniFamily(0.7, Order(-0.6)), 8)):
+            for e in find_zeros(fam, count).entries:
+                args = self.at(fam.a, fam.nu, e.zero * (1.0 + 1e-13), 1e-12)
+                cases.append((*args, (0.0, abs(args[7][1]) * 0.5)))
+        for a, nu, x, blo, bhi, j0, j1, p1, p2 in cases:
+            fused = zeros._interval_newton(a, nu, x, blo, bhi, j0, j1, p1, p2)
+            apart = [zeros._interval_newton(a, nu, x, blo, bhi, j0, j1, p) for p in (p1, p2)]
+            assert apart == [self.one_pair(a, nu, x, blo, bhi, *p, j0, j1) for p in (p1, p2)]
+            assert fused is (apart[0] and apart[1])
+            decided += fused
+        assert 300 <= decided <= len(cases) - 300
 
     def test_one_pass_per_zero(self, monkeypatch):
         # the end check took two more _d_lead passes per zero, 3.2 in all, and a
@@ -371,6 +433,57 @@ class TestIntervalNewton:
             fam = DiniFamily(rng.uniform(0.2, 5.0), Order(rng.uniform(-0.9, 15.0)))
             found += len(find_zeros(fam, rng.randint(1, 8), rng.choice((1e-12, 1e-8))))
         assert found >= 80 and len(passes) == found and len(ratios) <= 5.0 * found
+
+
+def table_bits(family, count, tol):
+    """Zero, bracket and residual of each entry by float.hex, or the failure."""
+    try:
+        return [tuple(v.hex() for v in (e.zero, e.lo, e.hi, e.residual))
+                for e in find_zeros(family, count, tol).entries]
+    except NumericFailure as exc:
+        return type(exc).__name__, str(exc)
+
+
+class TestPhaseStart:
+    """Halley's start at the Liouville-Green phase prediction."""
+
+    @settings(max_examples=300, derandomize=True, deadline=None)
+    @given(a=st.floats(math.log(1e-3), math.log(1e6)).map(math.exp),
+           nu=st.floats(-0.999, 40.0, exclude_min=True), count=st.integers(1, 18),
+           tol=st.sampled_from((1e-12, 1e-8)))
+    def test_same_bits_as_the_endpoint_start(self, a, nu, count, tol):
+        # the start moves only where Halley begins: every zero, bracket,
+        # residual and failure message is that of the endpoint-Halley start
+        family = DiniFamily(a, Order(nu))
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(zeros, "_phase_start", lambda *args: None)
+            reference = table_bits(family, count, tol)
+        assert table_bits(family, count, tol) == reference
+
+    def test_halley_calls_near_the_critical_curve(self, monkeypatch):
+        # 12-zero tables within 0.15 of the critical curve: Halley from the
+        # endpoint start took about 2.7 _j_ratio calls per zero, from the
+        # phase prediction about 1.2; the scan's calls are not counted
+        ratio, refine, refining, calls = zeros._j_ratio, zeros._refine, [False], []
+
+        def spy_ratio(*args):
+            calls.append(refining[0])
+            return ratio(*args)
+
+        def spy_refine(*args):
+            refining[0] = True
+            try:
+                return refine(*args)
+            finally:
+                refining[0] = False
+
+        monkeypatch.setattr(zeros, "_j_ratio", spy_ratio)
+        monkeypatch.setattr(zeros, "_refine", spy_refine)
+        found = 0
+        for a in (0.8, 1.1, 1.4, 1.7, 2.0, 2.3, 2.6, 3.0):
+            for off in (-0.15, 0.0, 0.15):
+                found += len(find_zeros(DiniFamily(a, Order(critical_order(a).nu_a + off)), 12))
+        assert found == 288 and sum(calls) <= 1.5 * found
 
 
 @settings(max_examples=40, derandomize=True, deadline=None)
