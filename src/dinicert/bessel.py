@@ -268,12 +268,13 @@ def _w_coeffs(a: float, nu: float, rmax: float) -> list[float]:
     c, bound, small = [1.0], rmax, 0
     while small < 2:
         n = len(c) - 1
-        c.append(c[-1] * (-(2 * n + 2 + a) / ((2 * n + a) * 4.0 * (n + 1) * (nu + n + 1))))
+        den = (2 * n + a) * 4.0 * (n + 1) * (nu + n + 1)
+        if n >= 400 or den == 0.0:  # 0.0 where a (nu + 1) underflows
+            raise NumericFailure("w series did not converge on the unit disk")
+        c.append(c[-1] * (-(2 * n + 2 + a) / den))
         u = (n + 2) * abs(c[-1]) * rmax ** (n + 2)
         bound += u
         small = small + 1 if u < 1e-16 * (1.0 + bound) else 0
-        if n >= 400:
-            raise NumericFailure("w series did not converge on the unit disk")
     return c
 
 

@@ -19,15 +19,16 @@ import dataclasses
 import functools
 import math
 import sys
+from collections.abc import Sequence
 
 from . import __version__
 from .bessel import _w_sums, w_eval
 from .certify import certify
 from .criterion import (BOUNDARY_BAND, SEARCH_WINDOW, SUM_CROSS_CHECK_TOL,
-                        critical_order, evaluate_criterion)
+                        CriticalOrder, critical_order, evaluate_criterion)
 from .errors import DomainError, NumericFailure
 from .families import DiniFamily, Order
-from .zeros import DEFAULT_TOL, SCAN_STEP, X_MAX, find_zeros
+from .zeros import DEFAULT_TOL, SCAN_STEP, X_MAX, ZeroEntry, find_zeros
 
 # ------------------------------------------------------------ rendering
 
@@ -77,7 +78,7 @@ def _wire_keys(cls) -> tuple[str, ...]:
                     if isinstance(v, functools.cached_property)))
 
 
-def _output(args, results, diagnostics: dict, header: list[str] | None,
+def _output(args, results, diagnostics: dict, header: Sequence[str] | None,
             rows: list[list]) -> str:
     """The one place that picks CSV or JSON; inputs are the parsed flags."""
     flags = vars(args)
@@ -94,7 +95,7 @@ def _output(args, results, diagnostics: dict, header: list[str] | None,
     })
 
 
-def _csv(header: list[str] | None, rows: list[list]) -> str:
+def _csv(header: Sequence[str] | None, rows: list[list]) -> str:
     lines = [] if header is None else [",".join(header)]
     lines += [",".join("" if v is None else _fmt_float(v) if isinstance(v, float) else str(v)
                        for v in row) for row in rows]
@@ -116,8 +117,8 @@ def _cmd_zeros(args):
         "max_bracket_width": max(e.hi - e.lo for e in table.entries),
         "max_residual": max(e.residual for e in table.entries),
     }
-    rows = [[e.n, e.zero, e.lo, e.hi, e.residual] for e in table.entries]
-    return table, diag, ["n", "zero", "lo", "hi", "residual"], rows
+    keys = _wire_keys(ZeroEntry)
+    return table, diag, keys, [[getattr(e, k) for k in keys] for e in table.entries]
 
 
 def _cmd_sum(args):
@@ -142,9 +143,8 @@ def _cmd_critical(args):
         "bracket_width": result.hi - result.lo,
         "sum_cross_check_tol": SUM_CROSS_CHECK_TOL,
     }
-    row = [result.a, result.nu_a, result.lo, result.hi, result.residual,
-           result.sum_at_root]
-    return result, diag, ["a", "nu_a", "lo", "hi", "residual", "sum_at_root"], [row]
+    keys = _wire_keys(CriticalOrder)
+    return result, diag, keys, [[getattr(result, k) for k in keys]]
 
 
 def _cmd_certify(args):
@@ -166,13 +166,10 @@ def _cmd_certify(args):
 def _cmd_eval(args):
     family, z = _family(args), args.z
     w, wp = _w_sums(family.a, family.nu, z)
-    results = {
-        "z": {"re": z.real, "im": z.imag},
-        "w": {"re": w.real, "im": w.imag},
-        "w_prime": {"re": wp.real, "im": wp.imag},
-    }
-    header = ["a", "nu", "z_re", "z_im", "w_re", "w_im", "w_prime_re", "w_prime_im"]
-    row = [family.a, family.nu, z.real, z.imag, w.real, w.imag, wp.real, wp.imag]
+    parts = {"z": z, "w": w, "w_prime": wp}
+    results = {k: {"re": v.real, "im": v.imag} for k, v in parts.items()}
+    header = ["a", "nu"] + [f"{k}_{p}" for k in parts for p in ("re", "im")]
+    row = [family.a, family.nu] + [x for v in parts.values() for x in (v.real, v.imag)]
     return results, {"series_truncation_threshold": 1e-16}, header, [row]
 
 
@@ -193,8 +190,7 @@ def _cmd_boundary(args):
     rows = [(t, v.real, v.imag, (z * d / u).real)
             for t, v, z, u, d in zip(thetas, w, z_inner, wi, wpi)]
     header = ["theta", "w_re", "w_im", "starlike_re_at_0p99"]
-    results = {"samples": [{"theta": t, "w_re": re, "w_im": im, "starlike_re_at_0p99": s}
-                           for t, re, im, s in rows]}
+    results = {"samples": [dict(zip(header, row)) for row in rows]}
     diag = {"samples": m, "starlike_radius": 0.99,
             "series_truncation_threshold": 1e-16}
     return results, diag, header, rows

@@ -34,8 +34,8 @@ SUM_CROSS_CHECK_TOL = 1e-8
 class SumCriterion:
     """Two-route value of S(a,nu) with enclosure data.
 
-    When the first zero does not exceed 1 the truncated route is
-    inapplicable and its fields are None.
+    When the first zero does not exceed 1, or the zero table cannot be
+    formed, the truncated route is inapplicable and its fields are None.
     """
 
     family: DiniFamily
@@ -116,7 +116,7 @@ def evaluate_criterion(family: DiniFamily, n_terms: int = 12,
 
     A precomputed zero table of length >= max(n_terms, 1) may be passed
     to avoid recomputing zeros; the truncated fields are None when the
-    first zero does not exceed 1.
+    first zero does not exceed 1 or the table cannot be formed.
     """
     n_terms = _check_count(n_terms, "n_terms", 0)
     return _criterion(family, sum_closed(family), n_terms, table)
@@ -160,9 +160,9 @@ def critical_order(a: float, tol: float = 1e-10) -> CriticalOrder:
     Secant on F(nu) - nu from max(-0.99, 1/a - 7/8) and F of it, until a step
     is below half an ulp of |nu| + 1 (at most 7 rho for a in [0.01, 1e6]).
     Certified as a zero is: the secant's own F(nu) - nu = -h / (4a), which
-    has the sign of -g, changes sign across [nu_a -+ 0.49 tol], which must
-    round to width <= tol; and from one J pair at nu_a, |g(nu_a)| <= 1e-12
-    times the sum of its terms' moduli and |S(a, nu_a) - 1| <= 1e-8."""
+    has the sign of -g, changes sign across [nu_a -+ 0.49 tol], which must hold
+    nu_a and round to width <= tol; and from one J pair at nu_a, |g(nu_a)| <=
+    1e-12 times the sum of its terms' moduli and |S(a, nu_a) - 1| <= 1e-8."""
     a = _as_a(a)
     tol = float(tol)
     if not 0.0 < tol <= 1e-2:
@@ -188,12 +188,11 @@ def critical_order(a: float, tol: float = 1e-10) -> CriticalOrder:
             f"no sign change of the critical equation on [{lo_w:g}, {hi_w:g}] for a={a:g}")
 
     lo, hi = root - 0.49 * tol, root + 0.49 * tol
-    phi_lo, phi_hi = fixed(lo) - lo, fixed(hi) - hi
-    if not hi - lo <= tol or phi_lo == 0.0 or phi_hi == 0.0 or (
-            math.copysign(1.0, phi_lo) == math.copysign(1.0, phi_hi)):
+    if not (lo < root < hi and hi - lo <= tol):  # a tol below the spacing at root
+        raise NumericFailure(f"no bracket of width <= {tol:g} holds nu_a={root!r} for a={a:g}")
+    if not (fixed(lo) - lo) * (fixed(hi) - hi) < 0.0:
         raise NumericFailure(
-            f"critical equation does not change sign across [{lo!r}, {hi!r}] "
-            f"(width <= {tol:g} required) for a={a:g}")
+            f"critical equation does not change sign across [{lo!r}, {hi!r}] for a={a:g}")
     j0, j1 = _j_pair(root, 1.0)
     p, q = (2.0 * a - 1.0) * j0, (a - 2.0 * root + 2.0) * j1
     residual = abs(p - q)

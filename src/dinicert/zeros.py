@@ -290,7 +290,11 @@ def _refine(family: DiniFamily, n: int, lo: float, hi: float, jlo: tuple[float, 
 
     for i in range(3):
         num, den, j0, j1, wp = _d_lead(a, nu, x)
-        d = num / den  # D / lead, rounded once
+        try:
+            d = num / den  # D / lead, rounded once
+        except OverflowError:  # a near the top of the double range
+            raise NumericFailure(f"D / lead overflows the double range at x={x!r}; "
+                                 f"zero {n} could not be refined") from None
         dp, scale = _dprime_from_pair(a, nu, x, j0, j1), abs(a * j0) + abs(x * j1)
         x_new = x - d / dp if dp != 0.0 else x
         if i == 2 or x_new == x or not step_lo < x_new < step_hi:

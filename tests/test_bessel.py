@@ -420,6 +420,14 @@ class TestWSeries:
         assert w_eval(fam, 0.0) == 0.0
         assert w_prime_eval(fam, 0.0) == 1.0
 
+    @pytest.mark.parametrize("a", [5e-324, 1e-300])
+    def test_underflowing_term_ratio_fails_loudly(self, a):
+        # at 5e-324 the first ratio's denominator 4a(nu + 1) is 0.0, a
+        # ZeroDivisionError; at 1e-300 it is subnormal and the series overflows
+        fam = DiniFamily(a, Order(-0.9999999999999999))
+        with pytest.raises(NumericFailure, match="w series did not converge"):
+            w_eval(fam, 0.5)
+
     def test_r_half_value(self):
         fam = DiniFamily(1.0, Order(0.5))
         expected = 0.25 * math.cos(0.5)

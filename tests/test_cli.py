@@ -79,6 +79,53 @@ class TestExitCodes:
         assert (code, out) == (3, "")
         assert err.startswith("numeric failure: zero 1 near x=3.3")
 
+    @pytest.mark.parametrize("command", ["zeros", "certify"])
+    def test_overflowing_finish_fails_loudly(self, command):
+        # the finish's D / lead = num / den passed the double range: an
+        # OverflowError and a traceback (exit 1)
+        argv = [command, "--a", "1.6e308", "--nu", "-0.9999999999999999"]
+        code, out, err = run_inproc(argv)
+        assert (code, out) == (3, "")
+        assert err.startswith("numeric failure: D / lead overflows the double range at x=")
+
+    def test_overflowing_finish_leaves_sum_truncated_null(self):
+        code, out, err = run_inproc(["sum", "--a", "1.6e308", "--nu", "-0.9999999999999999"])
+        results = json.loads(out)["results"]
+        assert (code, err) == (0, "")
+        assert results["truncated_value"] is None and results["tail_bound"] is None
+
+    @pytest.mark.parametrize("command", [["eval", "--z", "0.5"], ["boundary", "--samples", "4"]],
+                             ids=["eval", "boundary"])
+    def test_underflowing_w_coefficient_fails_loudly(self, command):
+        # a (nu + 1) underflows to 0.0, and w's first term ratio divided by it
+        argv = [command[0], "--a", "5e-324", "--nu", "-0.9999999999999999", *command[1:]]
+        assert run_inproc(argv) == (
+            3, "", "numeric failure: w series did not converge on the unit disk\n")
+
+    def test_no_command_exits_1(self):
+        # every command at the ends of the double range: 460 runs, each exits
+        # 0, 2 or 3 and none raises
+        a_grid = ["5e-324", "1e-320", "2.2250738585072014e-308", "1e-300", "1e-15", "1",
+                  "1e15", "1e300", "1.6e308", "1.7976931348623157e308"]
+        nu_grid = ["-0.9999999999999999", "-0.999999", "-0.9", "0", "0.5", "20", "150",
+                   "1e15", "1e308"]
+        commands = [["zeros", "--n", "3"], ["sum"], ["certify"], ["eval", "--z", "0.5"],
+                    ["boundary", "--samples", "4"]]
+        runs = [["critical", "--a", a] for a in a_grid] + [
+            [c[0], "--a", a, "--nu", nu, *c[1:]] for a in a_grid for nu in nu_grid
+            for c in commands]
+        assert len(runs) == 460
+        bad = []
+        for argv in runs:
+            try:
+                code = run_inproc(argv)[0]
+            except Exception as exc:
+                bad.append((argv, repr(exc)))
+            else:
+                if code not in (0, 2, 3):
+                    bad.append((argv, code))
+        assert bad == []
+
     def test_short_table_reports_its_count(self):
         # zero 1 (x = 7.68) cannot be refined to width 1e-14 either, but the
         # count is proved short before any zero is refined

@@ -250,9 +250,11 @@ class TestCriticalOrder:
             critical_order(1.0, tol=0.0)
 
     def test_tol_below_one_ulp_fails_loudly(self):
-        # the bracket rounds to one point, so g cannot change sign across it
-        with pytest.raises(NumericFailure, match="does not change sign"):
-            critical_order(1.0, tol=1e-17)
+        # 0.49 tol is below half an ulp of nu_a: the bracket rounds to one
+        # point, a width failure rather than a sign test on a point
+        for a, tol in ((1.0, 1e-17), (2.0, 1e-17), (2.0, 1e-300)):
+            with pytest.raises(NumericFailure, match=f"no bracket of width <= {tol:g} holds"):
+                critical_order(a, tol=tol)
 
     def test_overflowing_equation_fails_loudly(self):
         # phi changes sign across the bracket, but (2a - 1) J_nu(1) overflows
