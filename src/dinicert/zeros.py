@@ -9,13 +9,25 @@ strictly increasing between consecutive zeros j_{nu,k} of J_nu, from 0 (on
 (0, j_{nu,1})) or -inf up to +inf.  So each (j_{nu,n-1}, j_{nu,n}), with
 j_{nu,0} = 0, holds exactly one zero omega_n, and a - y > 0 before it.  Sturm
 comparison on sqrt(x) J_nu puts the j_{nu,k} at least pi apart for |nu| >= 1/2
-and pi / sqrt(1 + 1/pi^2) > 2.99 apart for |nu| < 1/2 (where j_{nu,1} >= pi/2),
-so a scan step of 2.5 straddles at most one j_{nu,k}.  It then holds one zero
-exactly when D changes sign across it, and two exactly when D keeps its sign,
-J_nu changes sign and sign D = sign J_nu (a - y > 0) at its left end; such a
-step is halved.  The scan starts at half the square root of the Ismail bound,
-below omega_1, where D > 0 and J_nu > 0, or at x = 60, where its last step ends.
-So the scan alone proves the count: it runs until it holds ``count`` steps with
+and pi / sqrt(1 + 1/pi^2) = 2.9971 apart for |nu| < 1/2 (where j_{nu,1} >=
+pi/2), so a scan step of 191/64 = 2.984375, 0.0128 short of that, straddles
+at most one j_{nu,k}.  It then holds one zero exactly when D changes sign
+across it, and two exactly when D keeps its sign, J_nu changes sign and sign
+D = sign J_nu (a - y > 0) at its left end; such a step is halved.  The same
+expansion gives the Rayleigh sums sigma_1 = sum_k j_{nu,k}^-2 = 1 / (4 (nu +
+1)) and sigma_3 = sum_k j_{nu,k}^-6 = 1 / (32 (nu + 1)^3 (nu + 2) (nu + 3))
+(Ismail and Muldoon), and three proved bounds (``_scan_bounds``) place the
+scan.  It starts at sqrt(L) (1 - 1e-9), L = 4a (nu + 1) / (a + 2) < omega_1^2
+(Ismail), where D > 0 and J_nu > 0, or at x = 60, where its last step ends.
+Below j_{nu,1} each term of y exceeds 2 x^2 / j_{nu,k}^2, so y > x^2 / (2 (nu
++ 1)) and omega_1^2 <= 2a (nu + 1): until a sign change no step ends past
+sqrt(2a (nu + 1)) (1 + 1e-9), which the scan reaches only where the ratio
+missed omega_1 (2 nu overflows past nu = 9e307; for a subnormal a the bound
+is not used, as a - x r rounds to 0 there).  And j_{nu,1}^-6 < sigma_3, so
+(omega_1, sigma_3^(-1/6) (1 - 1e-6)) holds no zero of D or J_nu: after
+omega_1's step a step that starts below that bound ends SCAN_STEP past it,
+still straddling at most one j_{nu,k}, with no call spent in between.  So
+the scan alone proves the count: it runs until it holds ``count`` steps with
 a sign change, or fails at x = 60, before any zero is refined.
 
 The scan and Halley take D up to a positive factor from ``_j_ratio``'s
@@ -26,7 +38,7 @@ rounding of a zero of J_nu, where r flips with it and keeps sign D right (at
 zero within about (x + 8) eps of j_{nu,k}, which needs a >~ 1e14, far above
 the 2.8e6 past which the certificate fails.  For a subnormal a, which a - x r
 cannot resolve, Halley takes ``_j_pair`` (doubles, for x <= 3): else a = 5e-324,
-nu = -0.9999999999999999 fails at x = 2.85e-170, not omega_1 = 3.3e-170.
+nu = -0.9999999999999999 fails at x = 3.80e-170, not omega_1 = 3.31e-170.
 
 Refinement.  Bracket-safeguarded Halley starts where the Liouville-Green phase
 of u = sqrt(x) J_nu predicts the zero (DLMF 2.7, 10.18).  u'' + q u = 0, q = 1 -
@@ -86,7 +98,7 @@ from .bessel import X_MAX, _check_x, _j_pair, _j_ratio, _j_sums, _lead, _libmp
 from .errors import DomainError, NumericFailure
 from .families import DiniFamily
 
-SCAN_STEP = 2.5
+SCAN_STEP = 2.984375  # 191 / 64, below the 2.9971 spacing of J_nu's zeros
 MAX_ZEROS = 18
 DEFAULT_TOL = 1e-12
 RESIDUAL_REL = 1e-10
@@ -342,6 +354,17 @@ def _check_count(n, name: str, low: int) -> int:
     return n
 
 
+def _scan_bounds(a: float, nu: float) -> tuple[float, float, float]:
+    """(start, end, jump): start < omega_1 <= end and jump <= j_{nu,1}, as the
+    module docstring proves, with margins far above their rounding, formed so
+    that none overflows or loses bits to underflow; start, end <= X_MAX."""
+    r = math.sqrt(nu + 1.0)
+    start = 2.0 * math.sqrt(a) / math.sqrt(a + 2.0) * r * (1.0 - 1e-9)
+    end = math.sqrt(2.0 * a) * r * (1.0 + 1e-9) if a >= sys.float_info.min else X_MAX
+    jump = r * (32.0 * (nu + 2.0) * (nu + 3.0)) ** (1.0 / 6.0) * (1.0 - 1e-6)
+    return min(start, X_MAX), min(end, X_MAX), jump
+
+
 def find_zeros(family: DiniFamily, count: int, tol: float = DEFAULT_TOL) -> ZeroTable:
     """First ``count`` positive zeros of D_{a,nu}, each with a bracket of width
     <= tol across which D changes sign and a residual |D(zero)| <= 1e-10 * scale.
@@ -353,9 +376,7 @@ def find_zeros(family: DiniFamily, count: int, tol: float = DEFAULT_TOL) -> Zero
         raise DomainError("tol must lie in (0, 0.1]")
 
     a, nu = family.a, family.nu
-    x = 0.5 * math.sqrt(ismail_lower_bound(family))
-    if not 0.0 < x < X_MAX:  # 4a(nu + 1) underflowed, or omega_1 > 2 X_MAX
-        x = min(math.sqrt(a) * math.sqrt((nu + 1.0) / (a + 2.0)), X_MAX)
+    x, end, jump = _scan_bounds(a, nu)
     fx = _d_from_pair(a, x, *(jx := _j_ratio(nu, x, 0)))
     steps: list[tuple] = []
     while len(steps) < count:
@@ -363,7 +384,11 @@ def find_zeros(family: DiniFamily, count: int, tol: float = DEFAULT_TOL) -> Zero
             raise NumericFailure(
                 f"only {len(steps)} sign changes of D_(a={a:g},nu={nu:g}) found "
                 f"below x={X_MAX:g}, needed {count}")
-        y = min(x + SCAN_STEP, X_MAX)
+        # x >= end before a sign change only where the ratio missed omega_1
+        if steps:
+            y = min(max(x, jump) + SCAN_STEP, X_MAX)
+        else:
+            y = min(x + SCAN_STEP, end if x < end else X_MAX)
         while True:
             fy = _d_from_pair(a, y, *(jy := _j_ratio(nu, y, 0)))
             # Two zeros: omega_n, j_{nu,n} and omega_{n+1} all lie in (x, y).

@@ -23,6 +23,7 @@ from dinicert import (
     w_eval,
     w_prime_eval,
 )
+from dinicert import bessel
 from dinicert.bessel import X_MAX, _j_pair, _j_ratio, _j_sums, _levels, _TWO_K, _w_coeffs, _w_sums
 from dinicert.errors import NumericFailure
 from dinicert.zeros import _d_lead
@@ -391,6 +392,62 @@ def test_ratio_table_covers_x_max(nu):
     shift 1), so no level is dropped there."""
     assert len(_TWO_K) == _levels(X_MAX) + 2
     assert _j_ratio(nu, X_MAX, 1) == j_ratio_reference(nu, X_MAX, 1)
+
+
+def old_levels(x):
+    """``_levels`` before the depth was set from the tail."""
+    return int(1.25 * x + 3.0 * x ** (1.0 / 3.0)) + 19
+
+
+def test_rho_keeps_its_bits_at_the_old_depth(monkeypatch):
+    """rho = J_{nu+2}(1) / J_{nu+1}(1), from which certify forms S and nu_a,
+    has the same bits at 13 levels as at the former 23, over 100,000 orders:
+    nu uniform in (-1, 1000] and nu + 1 log-uniform in [1e-16, 1001]."""
+    rng = random.Random(13)
+    nus = [1000.0 - rng.random() * 1001.0 for _ in range(50_000)] + [
+        math.exp(rng.uniform(math.log(1e-16), math.log(1001.0))) - 1.0 for _ in range(50_000)]
+    nus = [nu for nu in nus if nu > -1.0]
+    assert len(nus) >= 99_000 and _levels(1.0) == 13
+    rho = [_j_ratio(nu) for nu in nus]
+    monkeypatch.setattr(bessel, "_levels", old_levels)
+    assert [_j_ratio(nu) for nu in nus] == rho
+
+
+def mp_j_zero_after(v, x):
+    """The first zero of J_v in (x, x + 4] to 40 digits, or None: a sign change
+    on a grid of step 1, below the 2.99 spacing of the zeros."""
+    f = lambda t: mpmath.besselj(v, t)
+    x, fx = mpmath.mpf(x), f(x)
+    for _ in range(4):
+        fy = f(x + 1)
+        if fx * fy < 0:
+            return mpmath.findroot(f, (x, x + 1), solver="anderson")
+        x, fx = x + 1, fy
+    return None
+
+
+def test_ratio_angle_within_bound_at_and_next_to_zeros():
+    """At the depth x + 8 x^(1/3) + 4, atan r stays within (x + 8) eps of the
+    40-digit angle of J_{nu+1}(x) / J_nu(x), modulo pi, as _j_ratio states:
+    300 draws of nu in (-0.9, 40] and x in (0, 60], half of them at or within
+    2 ulp of the double nearest a zero of J_nu or J_{nu+1}."""
+    rng = random.Random(8)
+    for i in range(300):
+        nu, x = 40.0 - rng.random() * 40.9, 60.0 - rng.random() * 60.0
+        with mpmath.workdps(40):
+            v, shift = mpmath.mpf(nu), rng.randint(0, 1)
+            while i % 2 == 0:  # a zero below 60 follows some x, as j_{41,1} < 48
+                z = mp_j_zero_after(v + shift, x)
+                if z is not None and z <= X_MAX:
+                    x = float(z)
+                    for _ in range(rng.randint(0, 2)):
+                        x = math.nextafter(x, rng.choice((0.0, math.inf)))
+                    break
+                x = 60.0 - rng.random() * 60.0
+            s, sr = _j_ratio(nu, x, 0)
+            err = abs(mpmath.atan(s * sr) - mpmath.atan(mpmath.besselj(v + 1, x)
+                                                       / mpmath.besselj(v, x)))
+            assert min(err, mpmath.pi - err) <= (x + 8) * sys.float_info.epsilon, (nu, x)
 
 
 class TestBesselJPrime:

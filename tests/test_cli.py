@@ -81,12 +81,16 @@ class TestExitCodes:
 
     @pytest.mark.parametrize("command", ["zeros", "certify"])
     def test_overflowing_finish_fails_loudly(self, command):
-        # the finish's D / lead = num / den passed the double range: an
-        # OverflowError and a traceback (exit 1)
+        # From a scan start at half the Ismail bound Halley wandered to x = 1.25,
+        # where the finish's D / lead = num / den passed the double range (an
+        # OverflowError and a traceback, exit 1, before that was caught).  From
+        # the bound itself it stops 2.5e-10 relative below omega_1, and the
+        # residual gate refuses that x.
         argv = [command, "--a", "1.6e308", "--nu", "-0.9999999999999999"]
         code, out, err = run_inproc(argv)
         assert (code, out) == (3, "")
-        assert err.startswith("numeric failure: D / lead overflows the double range at x=")
+        assert err.startswith("numeric failure: residual ")
+        assert " exceeds 1e-10 * scale at x=2.10734242" in err
 
     def test_overflowing_finish_leaves_sum_truncated_null(self):
         code, out, err = run_inproc(["sum", "--a", "1.6e308", "--nu", "-0.9999999999999999"])

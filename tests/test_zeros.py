@@ -169,6 +169,16 @@ class TestFindZeros:
             3, "", "numeric failure: derivative vanishes at refined zero x=1.5707963267948966; "
                    "zero may not be simple\n")
 
+    def test_overflowing_finish_fails_loudly(self, monkeypatch):
+        # No family is known to reach it since the scan starts at the Ismail
+        # bound: num is scaled past the double range from the first pass on.
+        d_lead = zeros._d_lead
+        monkeypatch.setattr(zeros, "_d_lead", lambda *args: (
+            lambda num, *rest: (num << 2000, *rest))(*d_lead(*args)))
+        with pytest.raises(NumericFailure, match=r"^D / lead overflows the double range at "
+                                                 r"x=\S+; zero 1 could not be refined$"):
+            find_zeros(DiniFamily(1.0, Order(0.5)), 1)
+
     def test_tan_equation_root(self):
         # first root of tan x = -x, i.e. of sin x + x cos x, on (pi/2, pi)
         ref = bisect(lambda x: math.sin(x) + x * math.cos(x), 1.6, 3.1)
@@ -258,10 +268,11 @@ class TestFindZeros:
         with pytest.raises(DomainError):
             find_zeros(fam, 5, tol=0.0)
 
-    # omega_1 sits dozens of decades below the end of its scan step (a = 1e-100,
-    # omega_1^2 ~ 2a (nu + 1)), where Newton on D far above the root takes
-    # steps of about x / (nu + 2); rejected steps bisect geometrically, so the
-    # zero is reached, and its bracket of width tol then reaches below 0
+    # omega_1 sat dozens of decades below the end of a scan step from half
+    # the Ismail bound (a = 1e-100, omega_1^2 ~ 2a (nu + 1)), where Newton on D
+    # far above the root takes steps of about x / (nu + 2); rejected steps
+    # bisect geometrically, so the zero is reached, and its bracket of width
+    # tol then reaches below 0
     @pytest.mark.parametrize("nu,x", [(-0.5, "1e-50"),
                                       (-0.9999999999999999, "1.4901161193847656e-58")])
     def test_zero_decades_below_the_step_end(self, nu, x):
@@ -269,13 +280,27 @@ class TestFindZeros:
             find_zeros(DiniFamily(1e-100, Order(nu)), 1)
 
     def test_first_zero_below_1e3(self):
-        # omega_1 lies below 1e-3; the first 2.5 step holds omega_1, j_{nu,1}
-        # and omega_2, so the scan must halve it
+        # omega_1 lies below 1e-3; a first step of 2.5 from half the Ismail
+        # bound held omega_1, j_{nu,1} and omega_2, and the scan had to halve it
         table = find_zeros(DiniFamily(0.001, Order(-0.9999)), 3)
         refs = (4.4710184517792e-4, 2.4054, 5.5204)
         for z, ref in zip(table.zeros, refs, strict=True):
             assert z == pytest.approx(ref, rel=1e-4)
             assert ulps_off(z, mp_root_near(0.001, -0.9999, ref)) <= 4.0
+
+    def test_step_with_two_zeros_is_halved(self, monkeypatch):
+        # Between the scan's bounds no family with a normal a is known to give
+        # a step with two zeros; from half the Ismail bound, with no end bound,
+        # the first step of this one holds omega_1, j_{nu,1} and omega_2, and
+        # halving it gives the same table.
+        family = DiniFamily(0.001, Order(-0.9999))
+        reference, ratio, ends = find_zeros(family, 3), zeros._j_ratio, []
+        monkeypatch.setattr(zeros, "_scan_bounds", lambda a, nu: (
+            0.5 * math.sqrt(ismail_lower_bound(family)), X_MAX, 0.0))
+        monkeypatch.setattr(zeros, "_j_ratio",
+                            lambda nu, x, shift=1: ends.append(x) or ratio(nu, x, shift))
+        assert find_zeros(family, 3) == reference
+        assert ends[2] == 0.5 * (ends[0] + ends[1])  # the first step, halved
 
     def test_last_zero_just_below_cap(self):
         # the 11th zero of D_{1,20} lies at 59.9165, inside the last step
@@ -320,8 +345,8 @@ class TestFindZeros:
             find_zeros(DiniFamily(1e308, Order(5.0)), 1)
 
     def test_scan_starts_at_or_below_cap(self, monkeypatch):
-        # the Ismail start at nu = 1e12 is 5.8e5, where the continued fraction
-        # runs 1.25 x levels; no zero lies below 60 there
+        # the Ismail start at nu = 1e12 is 1.2e6, where the continued fraction
+        # would run about x levels; no zero lies below 60 there
         seen, ratio = [], zeros._j_ratio
         monkeypatch.setattr(zeros, "_j_ratio",
                             lambda nu, x, shift=1: seen.append(x) or ratio(nu, x, shift))
@@ -708,6 +733,76 @@ class TestIsmailBound:
     def test_past_double_range(self, a):
         # 4a(nu + 1) overflows; the bound read inf
         assert ismail_lower_bound(DiniFamily(a, Order(5.0))) == 24.0
+
+
+def mp_j_zeros(nu, stop=0.0):
+    """The zeros of J_nu, nu > -1, to 40 digits, up to the first past ``stop``:
+    J_nu > 0 below 2 sqrt(nu + 1) <= j_{nu,1} (sigma_1 > j_{nu,1}^-2), and
+    beyond it each sign change on a grid of step 1, a third of the 2.9971
+    spacing of the zeros, is solved."""
+    with mpmath.workdps(40):
+        v = mpmath.mpf(nu)
+        f = lambda t: mpmath.besselj(v, t)
+        x = 2 * mpmath.sqrt(v + 1) * (1 - mpmath.mpf(10) ** -3)
+        fx, zs = f(x), []
+        while not zs or zs[-1] <= stop:
+            fy = f(x + 1)
+            if fx * fy < 0:
+                zs.append(mpmath.findroot(f, (x, x + 1), solver="anderson"))
+            x, fx = x + 1, fy
+    return zs
+
+
+class TestScanBounds:
+    """The three proved bounds that place the scan, against 40-digit mpmath."""
+
+    def test_first_zero_between_the_bounds(self):
+        # omega_1^2 in (L, 2a (nu + 1)], L the Ismail bound, and the scan's
+        # rounded start and end on either side of omega_1, as D > 0 on (0,
+        # omega_1) and D < 0 on (omega_1, j_{nu,1}]
+        rng = random.Random(32)
+        for _ in range(150):
+            a = math.exp(rng.uniform(math.log(1e-3), math.log(1e3)))
+            nu = 60.0 - rng.random() * 61.0
+            start, end, _ = zeros._scan_bounds(a, nu)
+            j1 = mp_j_zeros(nu)[0]
+            with mpmath.workdps(40):
+                d, A, v = mp_dini(a, nu), mpmath.mpf(a), mpmath.mpf(nu)
+                lower = mpmath.sqrt(4 * A * (v + 1) / (A + 2))
+                upper = mpmath.sqrt(2 * A * (v + 1))
+                assert lower < j1 and d(lower) > 0 and d(start) > 0, (a, nu)
+                assert upper >= j1 or d(upper) < 0, (a, nu)
+                assert end == X_MAX or end >= j1 or d(end) < 0, (a, nu)
+
+    def test_jump_below_the_first_zero_of_j(self):
+        # sigma_3^(-1/6) = (32 (nu + 1)^3 (nu + 2) (nu + 3))^(1/6) <= j_{nu,1},
+        # and the scan's rounded jump below it
+        rng = random.Random(61)
+        nus = [-0.999999, -0.5, 0.0, 0.5, 400.0] + [
+            math.exp(rng.uniform(math.log(1e-6), math.log(401.0))) - 1.0 for _ in range(30)]
+        for nu in nus:
+            j1 = mp_j_zeros(nu)[0]
+            with mpmath.workdps(40):
+                v = mpmath.mpf(nu)
+                bound = (32 * (v + 1) ** 3 * (v + 2) * (v + 3)) ** (mpmath.mpf(1) / 6)
+                assert zeros._scan_bounds(1.0, nu)[2] < bound < j1, nu
+
+    def test_scan_step_below_the_spacing_of_zeros_of_j(self):
+        # Sturm's bound pi / sqrt(1 + 1/pi^2) = 2.9971, and the zeros of J_nu
+        # below x = 60 more than SCAN_STEP apart
+        assert zeros.SCAN_STEP < math.pi / math.sqrt(1.0 + 1.0 / math.pi ** 2)
+        for nu in (-0.999, -0.9, -0.7, -0.5, -0.3, -0.1, 0.0, 0.2, 0.5, 1.0, 2.0, 5.0,
+                   10.0, 20.0, 35.0, 50.0):
+            js = mp_j_zeros(nu, X_MAX)
+            assert len(js) >= 2 and min(b - c for b, c in zip(js[1:], js)) > zeros.SCAN_STEP, nu
+
+    @pytest.mark.parametrize("a", [5e-324, 1e-310, 2.2250738585072014e-308, 1e-15, 1.0,
+                                   1e300, 1.6e308, 1.7976931348623157e308])
+    def test_formed_without_overflow(self, a):
+        # 2a, 4a (nu + 1) and (nu + 1)^3 overflow at the ends of the double range
+        for nu in (-0.9999999999999999, -0.9, 0.0, 20.0, 1e15, 1e154, 1e308):
+            start, end, jump = zeros._scan_bounds(a, nu)
+            assert 0.0 < start <= end <= X_MAX and jump > 0.0, (a, nu)
 
 
 class TestLandau:
