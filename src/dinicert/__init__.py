@@ -7,7 +7,6 @@ from .errors import DomainError, NumericFailure, PoleError
 from .families import DiniFamily, Order
 from .bessel import (
     bessel_j,
-    bessel_j_prime,
     oracle_closed_form,
     w_eval,
     w_prime_eval,
@@ -16,7 +15,6 @@ from .zeros import (
     ZeroEntry,
     ZeroTable,
     dini_eval,
-    dini_prime,
     find_zeros,
     ismail_lower_bound,
 )
@@ -27,7 +25,6 @@ from .criterion import (
     critical_order,
     evaluate_criterion,
     sum_closed,
-    sum_truncated,
 )
 from .certify import (
     CertReport,
@@ -41,12 +38,10 @@ __all__ = [
     "__version__",
     "DomainError", "NumericFailure", "PoleError",
     "DiniFamily", "Order",
-    "bessel_j", "bessel_j_prime", "oracle_closed_form",
-    "w_eval", "w_prime_eval",
-    "ZeroEntry", "ZeroTable", "dini_eval", "dini_prime", "find_zeros",
-    "ismail_lower_bound",
+    "bessel_j", "oracle_closed_form", "w_eval", "w_prime_eval",
+    "ZeroEntry", "ZeroTable", "dini_eval", "find_zeros", "ismail_lower_bound",
     "CriticalOrder", "SumCriterion", "critical_equation", "critical_order",
-    "evaluate_criterion", "sum_closed", "sum_truncated",
+    "evaluate_criterion", "sum_closed",
     "CertReport", "FactorizationCheck", "certify", "factorization_check",
     "starlike_sample",
 ]

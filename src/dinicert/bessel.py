@@ -10,7 +10,7 @@ Three evaluators give J_nu(x) and J_{nu+1}(x) together:
 - ``_j_sums``, the integer sums of one fixed-point pass over J_nu's leading
   term: each zero's finish and certificate (``zeros._d_lead``), and
   ``_j_pair`` beyond the double path;
-- ``_j_pair``, the pair itself: the public J, J', D and D', ``sum_closed``,
+- ``_j_pair``, the pair itself: the public J and D, ``sum_closed``,
   the critical equation and nu_a's certificate, and Halley for subnormal a.
 
 ``_j_pair`` sums the ascending power series with the term-ratio
@@ -43,8 +43,8 @@ All state is local and mpmath's libmp primitives are pure functions of
 (value, precision), so every function here is safe to call from any
 number of threads; the one value kept, a ``ZeroEntry``'s residual, is such
 a pure function too, so racing first reads agree.  libmp is imported on
-first use (numpy only to shape the w series at an array), and Python's
-import lock makes a racing thread wait until the module is whole.
+first use, and Python's import lock makes a racing thread wait until the
+module is whole.
 """
 
 from __future__ import annotations
@@ -256,14 +256,6 @@ def bessel_j(order: Order | float, x: float) -> float:
     return _j_pair(_as_nu(order), _check_x(x))[0]
 
 
-def bessel_j_prime(order: Order | float, x: float) -> float:
-    """J'_nu(x) via the identity J'_nu = (nu/x) J_nu - J_{nu+1} (valid for nu > -1)."""
-    nu = _as_nu(order)
-    x = _check_x(x)
-    j0, j1 = _j_pair(nu, x)
-    return (nu / x) * j0 - j1
-
-
 def _w_coeffs(a: float, nu: float, rmax: float) -> list[float]:
     """c_k of w_{a,nu} = sum c_k z^(k+1), from c_0 = 1 by the term ratio
     c_{n+1} / c_n = -(2n + 2 + a) / ((2n + a) 4 (n + 1) (nu + n + 1)), until two
@@ -285,13 +277,8 @@ def _w_coeffs(a: float, nu: float, rmax: float) -> list[float]:
 def _w_points(z):
     """(points, r_max, form): z's points as Python complex numbers, their max
     abs(z) (the C library's hypot), refusing |z| > 1 + 1e-9, and a function
-    that shapes results as z: an array, a list for a list or tuple, else a complex."""
-    shape = getattr(z, "shape", None)
-    if shape:  # an array of one or more dimensions, so numpy is loaded already
-        import numpy as np
-        points = np.asarray(z, dtype=np.complex128).ravel().tolist()
-        form = lambda out: np.array(out, np.complex128).reshape(shape)
-    elif type(z) in (list, tuple):
+    that shapes results as z: a list for a list or tuple, else a complex."""
+    if type(z) in (list, tuple):
         points, form = [complex(v) for v in z], list
     else:
         points, form = [complex(z)], lambda out: out[0]
@@ -331,8 +318,8 @@ def w_eval(family: DiniFamily, z):
     """w_{a,nu}(z) on |z| <= 1, normalized so w(0) = 0 and w'(0) = 1.
 
     A number (a numpy scalar or 0-d array too) gives a complex, a list or
-    tuple a list, an ndarray an ndarray of its shape.  The series has real
-    coefficients, so real input z yields an imaginary part exactly zero.
+    tuple a list.  The series has real coefficients, so real input z yields
+    an imaginary part exactly zero.
     """
     return _w_sums(family.a, family.nu, z, (False,))[0]
 

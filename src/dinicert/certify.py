@@ -83,12 +83,12 @@ def factorization_check(family: DiniFamily, n_zeros: int = 18,
     |1 - z/omega^2| <= 1 + r/omega^2 and |p| peaks at z = -r.  The series is
     p R, R(z) = prod_{n>N} (1 - z/omega_n^2), and R(-z) has positive Taylor
     coefficients, so |R(z) - 1| <= R(-r) - 1 <= expm1(r (T - P_N)), with
-    T - P_N = sum_{n>N} 1/omega_n^2 exactly (as in ``sum_truncated``): the
+    T - P_N = sum_{n>N} 1/omega_n^2 exactly (as in ``_criterion``): the
     deviation |p| |R - 1| peaks at z = -r too, up to the rounding of the
     table's zeros, and stays below |p(-0.9)| expm1(0.9 (T - P_N)).  By the
     maximum modulus principle both are maxima over the disk.
     """
-    n_zeros = _check_count(n_zeros, "n_terms", 0)
+    n_zeros = _check_count(n_zeros, "n_zeros", 0)
     if table is None or len(table) < n_zeros:
         table = find_zeros(family, max(n_zeros, 1))
     zeros = table.zeros[:n_zeros]
@@ -119,7 +119,7 @@ def certify(family: DiniFamily, zero_count: int = 12) -> CertReport:
     binary rationals: Delta's sign is exact, and its pole band |Delta| <= POLE_REL
     (a |B| + 1) (D(1)'s test over J_{nu+1}(1)) and S round once.
     """
-    zero_count = _check_count(zero_count, "n_terms", 0)
+    zero_count = _check_count(zero_count, "zero_count", 0)
 
     (an, ad), (p, q) = family.a.as_integer_ratio(), family.nu.as_integer_ratio()
     rn, rd = _j_ratio(family.nu)[1].as_integer_ratio()

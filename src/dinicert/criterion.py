@@ -83,33 +83,6 @@ def _tail_mass(family: DiniFamily, zeros) -> float:
     return 1.0 / ismail_lower_bound(family) - math.fsum(1.0 / (z * z) for z in zeros)
 
 
-def _truncated_from_table(table: ZeroTable, n_terms: int) -> tuple[float, float]:
-    zs = table.zeros
-    if zs[0] <= 1.0:
-        raise NumericFailure(
-            "smallest zero does not exceed 1; truncated criterion inapplicable")
-    value = math.fsum(1.0 / (z * z - 1.0) for z in zs[:n_terms])
-    m = zs[max(n_terms, 1) - 1] ** 2
-    return value, _tail_mass(table.family, zs[:n_terms]) * m / (m - 1.0)
-
-
-def sum_truncated(family: DiniFamily, n_terms: int) -> tuple[float, float]:
-    """Partial sum over the first n_terms zeros plus a rigorous tail bound.
-
-    The z^2 coefficient of w = z prod(1 - z/omega_n^2) gives T = sum_n
-    1/omega_n^2 = (a + 2)/(4a(nu + 1)) exactly.  For n > N, omega_n >= omega_M,
-    M = max(N, 1), and t/(t - 1) decreases, so with P_N = sum_{n<=N}
-    1/omega_n^2 and m = omega_M^2 the tail is at most (T - P_N) m/(m - 1).
-    It reads the first M zeros and assumes no spacing.  Rounding (about 1e-13
-    relative in T - P_N) needs no guard: for n >= M + 2 interlacing puts
-    omega_n above j_{nu,M+1} > omega_M + 2.99 (the Sturm spacing in ``zeros``),
-    so each such term lies below its share of the bound by a relative
-    1/m - 1/omega_n^2 > 2.5e-5, as omega_M <= 60.
-    """
-    n_terms = _check_count(n_terms, "n_terms", 0)
-    return _truncated_from_table(find_zeros(family, max(n_terms, 1)), n_terms)
-
-
 def evaluate_criterion(family: DiniFamily, n_terms: int = 12,
                        table: ZeroTable | None = None) -> SumCriterion:
     """Assemble the closed and truncated routes into one SumCriterion.
@@ -124,13 +97,31 @@ def evaluate_criterion(family: DiniFamily, n_terms: int = 12,
 
 def _criterion(family: DiniFamily, closed: float, n_terms: int,
                table: ZeroTable | None) -> SumCriterion:
-    """``evaluate_criterion`` from its closed sum ``closed`` on."""
+    """``evaluate_criterion`` from its closed sum ``closed`` on.
+
+    The truncated route is the partial sum over the first n_terms zeros plus
+    a rigorous tail bound.  The z^2 coefficient of w = z prod(1 - z/omega_n^2)
+    gives T = sum_n 1/omega_n^2 = (a + 2)/(4a(nu + 1)) exactly.  For n > N,
+    omega_n >= omega_M, M = max(N, 1), and t/(t - 1) decreases, so with
+    P_N = sum_{n<=N} 1/omega_n^2 and m = omega_M^2 the tail is at most
+    (T - P_N) m/(m - 1).  It reads the first M zeros and assumes no spacing.
+    Rounding (about 1e-13 relative in T - P_N) needs no guard: for n >= M + 2
+    interlacing puts omega_n above j_{nu,M+1} > omega_M + 2.99 (the Sturm
+    spacing in ``zeros``), so each such term lies below its share of the bound
+    by a relative 1/m - 1/omega_n^2 > 2.5e-5, as omega_M <= 60.
+    """
+    value = tail = None
     try:
         if table is None or len(table) < max(n_terms, 1):
             table = find_zeros(family, max(n_terms, 1))
-        value, tail = _truncated_from_table(table, n_terms)
     except NumericFailure:
-        value, tail = None, None
+        pass
+    else:
+        zs = table.zeros
+        if zs[0] > 1.0:
+            value = math.fsum(1.0 / (z * z - 1.0) for z in zs[:n_terms])
+            m = zs[max(n_terms, 1) - 1] ** 2
+            tail = _tail_mass(family, zs[:n_terms]) * m / (m - 1.0)
     return SumCriterion(family, closed, value, n_terms, tail, 1.0 - closed)
 
 

@@ -21,7 +21,7 @@ scan.  It starts at sqrt(L) (1 - 1e-9), L = 4a (nu + 1) / (a + 2) < omega_1^2
 (Ismail), where D > 0 and J_nu > 0, or at x = 60, where its last step ends.
 Below j_{nu,1} each term of y exceeds 2 x^2 / j_{nu,k}^2, so y > x^2 / (2 (nu
 + 1)) and omega_1^2 <= 2a (nu + 1): until a sign change no step ends past
-sqrt(2a (nu + 1)) (1 + 1e-9), which the scan reaches only where the ratio
+sqrt(2a (nu + 1)) (1 + 1e-9), where the scan fails at once, as the ratio
 missed omega_1 (2 nu overflows past nu = 9e307; for a subnormal a the bound
 is not used, as a - x r rounds to 0 there).  And j_{nu,1}^-6 < sigma_3, so
 (omega_1, sigma_3^(-1/6) (1 - 1e-6)) holds no zero of D or J_nu: after
@@ -167,16 +167,6 @@ def dini_eval(family: DiniFamily, x: float) -> float:
     x = _check_x(x)
     j0, j1 = _j_pair(family.nu, x)
     return _d_from_pair(family.a, x, j0, j1)
-
-
-def dini_prime(family: DiniFamily, x: float) -> float:
-    """D'_{a,nu}(x), with J'' eliminated through the Bessel equation.
-
-    Reduces to (a nu / x - x) J_nu(x) + (nu - a) J_{nu+1}(x).
-    """
-    x = _check_x(x)
-    a, nu = family.a, family.nu
-    return _dprime_from_pair(a, nu, x, *_j_pair(nu, x))
 
 
 def ismail_lower_bound(family: DiniFamily) -> float:
@@ -380,15 +370,15 @@ def find_zeros(family: DiniFamily, count: int, tol: float = DEFAULT_TOL) -> Zero
     fx = _d_from_pair(a, x, *(jx := _j_ratio(nu, x, 0)))
     steps: list[tuple] = []
     while len(steps) < count:
+        if not steps and x >= end < X_MAX:  # only where the ratio missed omega_1
+            raise NumericFailure(
+                f"no sign changes of D_(a={a:g},nu={nu:g}) found below x={end!r}, "
+                "the proved bound on omega_1: the Bessel continued fraction failed")
         if x >= X_MAX:
             raise NumericFailure(
                 f"only {len(steps)} sign changes of D_(a={a:g},nu={nu:g}) found "
                 f"below x={X_MAX:g}, needed {count}")
-        # x >= end before a sign change only where the ratio missed omega_1
-        if steps:
-            y = min(max(x, jump) + SCAN_STEP, X_MAX)
-        else:
-            y = min(x + SCAN_STEP, end if x < end else X_MAX)
+        y = min(max(x, jump) + SCAN_STEP, X_MAX) if steps else min(x + SCAN_STEP, end)
         while True:
             fy = _d_from_pair(a, y, *(jy := _j_ratio(nu, y, 0)))
             # Two zeros: omega_n, j_{nu,n} and omega_{n+1} all lie in (x, y).

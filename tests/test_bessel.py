@@ -17,7 +17,6 @@ from dinicert import (
     DomainError,
     Order,
     bessel_j,
-    bessel_j_prime,
     oracle_closed_form,
     sum_closed,
     w_eval,
@@ -30,8 +29,19 @@ from dinicert.zeros import _d_lead
 
 
 def _w_sum(a, nu, z, derivative):
-    """w (or w') alone, as w_eval and w_prime_eval sum it."""
+    """w (or w') alone, as w_eval and w_prime_eval sum it; an array of one or
+    more dimensions goes in as the list of its points and comes back in its
+    shape."""
+    if isinstance(z, np.ndarray) and z.ndim:
+        points = np.asarray(z, dtype=np.complex128).ravel().tolist()
+        return np.array(_w_sums(a, nu, points, (derivative,))[0], np.complex128).reshape(z.shape)
     return _w_sums(a, nu, z, (derivative,))[0]
+
+
+def j_prime(nu, x):
+    """J'_nu(x) = (nu/x) J_nu(x) - J_{nu+1}(x) from the pair, as D' is formed."""
+    j0, j1 = _j_pair(nu, x)
+    return (nu / x) * j0 - j1
 
 
 def j_brute(nu, x, terms=60):
@@ -455,20 +465,20 @@ class TestBesselJPrime:
         j_half = math.sqrt(2.0 / math.pi) * math.sin(1.0)
         j_three = math.sqrt(2.0 / math.pi) * (math.sin(1.0) - math.cos(1.0))
         expected = 0.5 * j_half - j_three
-        assert bessel_j_prime(Order(0.5), 1.0) == pytest.approx(expected, rel=1e-11)
+        assert j_prime(0.5, 1.0) == pytest.approx(expected, rel=1e-11)
 
     def test_order_one_at_one(self):
         expected = j_brute(0.0, 1.0) - j_brute(1.0, 1.0)
-        assert bessel_j_prime(Order(1.0), 1.0) == pytest.approx(expected, rel=1e-11)
+        assert j_prime(1.0, 1.0) == pytest.approx(expected, rel=1e-11)
 
     def test_small_x_slope(self):
         x = 1e-4
-        assert bessel_j_prime(Order(0.0), x) == pytest.approx(-x / 2.0, abs=1e-12)
+        assert j_prime(0.0, x) == pytest.approx(-x / 2.0, abs=1e-12)
 
     def test_finite_difference(self):
         nu, x, h = 0.7, 2.3, 1e-5
         fd = (bessel_j(Order(nu), x + h) - bessel_j(Order(nu), x - h)) / (2 * h)
-        assert bessel_j_prime(Order(nu), x) == pytest.approx(fd, abs=1e-6)
+        assert j_prime(nu, x) == pytest.approx(fd, abs=1e-6)
 
 
 class TestWSeries:
@@ -558,7 +568,7 @@ class TestWSeries:
             w_eval(DiniFamily(1.0, Order(0.5)), 1.5)
 
     @pytest.mark.parametrize("z", [complex("nan"), complex(0.5, float("nan")),
-                                   complex("inf"), np.array([0.5, complex("nan")]),
+                                   complex("inf"), (0.5, complex("nan")),
                                    [complex("nan"), 0.5], complex(1.5e308, 1.5e308)])
     def test_non_finite_rejected(self, z):
         # NaN fails every comparison with the radius: rejected, not summed
@@ -567,38 +577,24 @@ class TestWSeries:
         with pytest.raises(DomainError):
             w_eval(DiniFamily(1.0, Order(0.5)), z)
 
-    def test_array_input(self):
-        fam = DiniFamily(1.0, Order(0.5))
-        zs = np.array([0.1, 0.5 + 0.2j, -0.9])
-        out = w_eval(fam, zs)
-        assert out.shape == zs.shape
-        for k, z in enumerate(zs):
-            assert out[k] == pytest.approx(w_eval(fam, complex(z)), rel=1e-15)
-
     def test_list_input(self):
         fam, zs = DiniFamily(1.0, Order(0.5)), [0.1, 0.5 + 0.2j, -0.9]
         for fn in (w_eval, w_prime_eval):
             out = fn(fam, zs)
             assert type(out) is list and all(type(w) is complex for w in out)
-            assert out == fn(fam, tuple(zs)) == fn(fam, np.array(zs)).tolist()
+            assert out == fn(fam, tuple(zs))
         assert w_eval(fam, []) == []
 
     @pytest.mark.parametrize("fn", [w_eval, w_prime_eval])
     def test_scalar_bits_equal_array_element(self, fn):
-        # A point summed alone and in a one-point array gets the same bits:
+        # A point summed alone and in a one-point list gets the same bits:
         # both are summed by the same Python-float loop.
         fam, rng = DiniFamily(1.0, Order(0.3)), random.Random(0)
         for _ in range(300):
             z = complex(rng.uniform(-0.7, 0.7), rng.uniform(-0.7, 0.7))
             alone = fn(fam, z)
             assert type(alone) is complex
-            assert alone == fn(fam, np.array([z]))[0], z
-
-    @pytest.mark.parametrize("fn", [w_eval, w_prime_eval])
-    @pytest.mark.parametrize("shape", [(0,), (2, 0)])
-    def test_empty_array(self, fn, shape):
-        out = fn(DiniFamily(1.0, Order(0.5)), np.zeros(shape, dtype=complex))
-        assert out.shape == shape and out.dtype == np.complex128
+            assert alone == fn(fam, [z])[0], z
 
 
 def w_sum_reference(a, nu, zz, derivative):

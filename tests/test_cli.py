@@ -7,12 +7,14 @@ import json
 import math
 import os
 import pathlib
+import re
 import subprocess
 import sys
 
 import numpy as np
 import pytest
 
+import dinicert
 from dinicert import (DiniFamily, certify, cli, critical_order, criterion,
                       evaluate_criterion, find_zeros, selftest, w_eval)
 
@@ -69,7 +71,7 @@ class TestExitCodes:
     def test_certify_zero_count_validated(self, nu, n):
         # -5 raised IndexError, -3 exited 0; the goldens pin -1 and 19
         code, out, err = run_inproc(["certify", "--a", "1", "--nu", nu, "--n", n])
-        assert (code, out, err) == (2, "", "error: n_terms must lie in [0, 18]\n")
+        assert (code, out, err) == (2, "", "error: zero_count must lie in [0, 18]\n")
 
     def test_underflowing_scan_start_fails_loudly(self):
         # 4a(nu + 1) underflows to 0; omega_1 ~ 3.3e-170 is found, but no
@@ -491,3 +493,13 @@ class TestImportFootprint:
     def test_runs_without_numpy(self, name):
         run = run_python("-c", NO_NUMPY_PROBE, *COMMANDS[name])
         assert run.returncode == 0, run.stderr
+
+    def test_star_import_resolves_all(self):
+        namespace = {}
+        exec("from dinicert import *", namespace)
+        assert [n for n in dinicert.__all__ if n not in namespace] == []
+
+    def test_no_module_imports_numpy(self):
+        pattern = re.compile(r"^\s*(import|from)\s+numpy\b", re.M)
+        assert [p.name for p in (SRC / "dinicert").glob("*.py")
+                if pattern.search(p.read_text())] == []

@@ -20,19 +20,17 @@ from dinicert import (
     NumericFailure,
     Order,
     bessel_j,
-    bessel_j_prime,
     certify,
     cli,
     critical_order,
     dini_eval,
-    dini_prime,
     evaluate_criterion,
     find_zeros,
     ismail_lower_bound,
     oracle_closed_form,
 )
 from dinicert import zeros
-from dinicert.bessel import X_MAX
+from dinicert.bessel import X_MAX, _j_pair
 
 
 def bisect(f, lo, hi, tol=1e-13):
@@ -113,13 +111,18 @@ class TestDiniEval:
 
     @pytest.mark.parametrize("a,nu,x", [(1.5, 0.3, 0.7), (2.0, 1.2, 9.5)])
     def test_matches_definition(self, a, nu, x):
-        # (a - nu) J_nu + x J'_nu, assembled from the public Bessel ops
-        ref = (a - nu) * bessel_j(Order(nu), x) + x * bessel_j_prime(Order(nu), x)
+        # (a - nu) J_nu + x J'_nu, assembled from mpmath's J and J'
+        ref = float((a - nu) * mpmath.besselj(nu, x) + x * mpmath.besselj(nu, x, 1))
         assert dini_eval(DiniFamily(a, Order(nu)), x) == pytest.approx(ref, rel=1e-11)
 
     def test_domain(self):
         with pytest.raises(DomainError):
             dini_eval(DiniFamily(1.0, Order(0.5)), 0.0)
+
+
+def dini_prime(fam, x):
+    """D'_{a,nu}(x) as Halley and the finish form it from the J pair."""
+    return zeros._dprime_from_pair(fam.a, fam.nu, x, *_j_pair(fam.nu, x))
 
 
 class TestDiniPrime:
@@ -353,6 +356,22 @@ class TestFindZeros:
         with pytest.raises(NumericFailure, match="only 0 sign changes"):
             find_zeros(DiniFamily(1.0, Order(1e12)), 1)
         assert seen and max(seen) <= X_MAX
+
+    def test_scan_stops_at_the_bound_on_omega_1(self, monkeypatch):
+        # 2 nu overflows at nu = 1e308 and every ratio reads r = 0, so D keeps
+        # its sign; omega_1 <= sqrt(2a (nu + 1)) = 2.11, and the scan stops
+        # there instead of going on to x = 60
+        seen, ratio = [], zeros._j_ratio
+        monkeypatch.setattr(zeros, "_j_ratio",
+                            lambda nu, x, shift=1: seen.append(x) or ratio(nu, x, shift))
+        fam = DiniFamily(2.2250738585072014e-308, Order(1e308))
+        end = zeros._scan_bounds(fam.a, fam.nu)[1]
+        message = (f"no sign changes of D_(a=2.22507e-308,nu=1e+308) found below x={end!r}, "
+                   "the proved bound on omega_1: the Bessel continued fraction failed")
+        with pytest.raises(NumericFailure) as exc:
+            find_zeros(fam, 3)
+        assert str(exc.value) == message
+        assert 2.1 < end < 2.12 and len(seen) == 2 and max(seen) == end
 
     def test_insufficient_zeros_below_cap(self):
         # at nu = 9 the 18th zero lies beyond the x <= 60 series range
