@@ -31,8 +31,8 @@ it loses about 0.43*x digits to cancellation.  There are two ways to sum it:
   differentiated term by term), summed from the partial sums A_i of the
   first as K A_K - sum_{i<K} A_i: one addition per term, no multiplication.
   Term denominators come by differences, and the maxima that measure
-  cancellation are tracked only up to the peak of k t_k, beyond which
-  neither t_k nor k t_k grows.  It starts with 73 + 1.443*x bits, adds
+  cancellation are read at the two peaks, found before the pass from nu and
+  x, with no comparison per term.  It starts with 73 + 1.443*x bits, adds
   guard bits while cancellation leaves fewer than 63, and truncates the
   result to a double, so results are faithfully rounded (error below
   1 ulp), not always correctly rounded: against 40-digit mpmath at 300
@@ -111,46 +111,59 @@ def _j_sums(nu: float, x: float) -> tuple[int, int, int, int]:
     the partial sums A_i = sum_{j<=i} (-1)^j t_j, s1 = K A_K - sum_{i<K} A_i
     exactly, so s1 costs one addition per term.  The sum runs until the term
     truncates to zero, and fails if t_500 does not; the guard grows while
-    cancellation leaves fewer than 63 bits in either sum.  The maxima are
-    tracked only up to the peak of k t_k: its exact ratio c k / (den_k (k - 1))
-    falls with k, and once it is at most 1 so is c / den_k, and the floor
-    division only lowers later terms, so neither t_k nor k t_k grows again.
-    wp, the bits the prefactor needs, omits the fraction bits that keep s1's
-    leading term (x/2)^2 / (nu + 1) at least 2^wp where it is below 1."""
+    cancellation leaves fewer than 63 bits in either sum, measured against the
+    largest term of each, m0 and m1, with no comparison per term.  den_k
+    increases, so t_k = floor(t_{k-1} c / den_k) rises (or stays) exactly while
+    den_k <= c and falls after: m0 = t_k0 at the last such k0, exactly.  k t_k
+    rises at most while its exact ratio c k / (den_k (k - 1)) exceeds 1, up to
+    k1, and falls after; the floor loses less than 1 in t_k, so (k - 1) t_{k-1}
+    < k t_k + k up to k1, and m1 = max(2^prec, k1 t_k1 + k1 (k1 + 1) / 2) bounds
+    every k t_k from above, within k1^2 of the largest: the bit length of the
+    largest but where that lies within k1^2 below a power of 2, and then one
+    bit more, so the 63-bit test is never weaker.  k0 and k1 are roots of
+    quadratics in k, found in doubles and settled by exact tests.  wp, the
+    bits the prefactor needs, omits the fraction bits that keep s1's leading
+    term (x/2)^2 / (nu + 1) at least 2^wp where it is below 1."""
     xn, xd = x.as_integer_ratio()
     p, q = nu.as_integer_ratio()
     c, d = xn * xn * q, 4 * xd * xd
     dd = 2 * d * q  # den_k - den_{k-1} = d (2k q - q + p) grows by dd a term
+    # k0, the last k with den_k <= c, and k1, the last with c k > den_k (k - 1):
+    # the roots of k (k + nu) = (x/2)^2 and (k + nu)(k - 1) = (x/2)^2 in doubles,
+    # settled by exact tests
+    k0 = int(0.5 * (math.hypot(nu, x) - nu))
+    while d * (k0 + 1) * ((k0 + 1) * q + p) <= c:
+        k0 += 1
+    while k0 and d * k0 * (k0 * q + p) > c:
+        k0 -= 1
+    k1 = int(0.5 * (1.0 - nu + math.hypot(nu + 1.0, x)))
+    while d * k1 * ((k1 + 1) * q + p) < c:
+        k1 += 1
+    while k1 > 1 and d * (k1 - 1) * (k1 * q + p) >= c:
+        k1 -= 1
     wp = 73 + int(1.443 * x)
     lift = max(0, (d * (q + p)).bit_length() - c.bit_length())
     for _ in range(4):
         prec = wp + lift
-        t = s0 = m0 = m1 = 1 << prec
+        t = s0 = 1 << prec
         u = k = den = 0  # u = sum_{i<k} A_i
         e = d * (p - q)  # so the first step gives den_1 = d (q + p)
-        # Two terms a step, odd then even, so k is even between steps.
-        while t and k < 500:
-            u += s0
-            e += dd
-            den += e
-            t = t * c // den
-            s0 -= t
-            if t > m0:  # inline: a max() call costs as much as the term
-                m0 = t
-            if (kt := (k + 1) * t) > m1:
-                m1 = kt
-            u += s0
-            e += dd
-            den += e
-            t = t * c // den
-            s0 += t
-            k += 2
-            if t > m0:
-                m0 = t
-            if (kt := k * t) > m1:
-                m1 = kt
-            if c * k <= den * (k - 1):  # past the peak of k t_k
-                break
+        peaks = []  # t_k0, then t_k1
+        # Two terms a step, odd (to) then even (t), so k is even between steps.
+        for peak in (k0, k1):
+            while k < peak:
+                u += s0
+                e += dd
+                den += e
+                to = t * c // den
+                s0 -= to
+                u += s0
+                e += dd
+                den += e
+                t = to * c // den
+                s0 += t
+                k += 2
+            peaks.append(t if k == peak else to)
         while t and k < 500:
             u += s0
             e += dd
@@ -166,8 +179,9 @@ def _j_sums(nu: float, x: float) -> tuple[int, int, int, int]:
         if t:
             raise NumericFailure(f"Bessel series did not converge at nu={nu}, x={x}")
         s1 = k * s0 - u
-        cancel = max(m.bit_length() - abs(s).bit_length() if s else prec
-                     for m, s in ((m0, s0), (m1, s1)))
+        m0, m1 = peaks[0], max(k1 * peaks[1] + k1 * (k1 + 1) // 2, 1 << prec)
+        cancel = max(m0.bit_length() - abs(s0).bit_length() if s0 else prec,
+                     m1.bit_length() - abs(s1).bit_length() if s1 else prec)
         if cancel <= prec - 63:
             return s0, s1, prec, wp
         wp += cancel - (prec - 63) + 20

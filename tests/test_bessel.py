@@ -1,6 +1,7 @@
 """Series evaluator tests against closed forms, brute force, and scipy."""
 
 import cmath
+import hashlib
 import math
 import random
 import sys
@@ -385,6 +386,26 @@ def test_kernels_match_reference_next_to_zeros(nu, shift, n):
         assert sums == j_sums_reference(nu, x)
         assert sums[3] > 73 + int(1.443 * x)  # the guard escalated
         assert _j_ratio(nu, x, shift) == j_ratio_reference(nu, x, shift)
+
+
+def test_sums_keep_their_bits():
+    """(s0, s1, prec, wp) over a seeded grid of nu in (-1, 400], half of it
+    with nu + 1 log-uniform from 1e-6, each at x = 1 and at an x in (0, 60],
+    a third of those log-uniform from 1e-3: the sha256 of their reprs, as the
+    kernel gave them when it tracked both maxima term by term."""
+    rng, digest = random.Random(7), hashlib.sha256()
+    for i in range(400):
+        if i % 2:
+            nu = min(-1.0 + 10.0 ** rng.uniform(-6.0, math.log10(401.0)), 400.0)
+        else:
+            nu = -1.0 + 401.0 * (1.0 - rng.random())
+        if i % 3 == 0:
+            x = 10.0 ** rng.uniform(-3.0, math.log10(60.0))
+        else:
+            x = 60.0 * (1.0 - rng.random())
+        for v in (1.0, x):
+            digest.update(repr(_j_sums(nu, v)).encode())
+    assert digest.hexdigest() == "20184f5c9d6980305047a93450f8a0748d59ba761e8433d2649e97e8c11cab03"
 
 
 @pytest.mark.parametrize("x", [300.0, 1000.0])
