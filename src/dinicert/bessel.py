@@ -6,7 +6,9 @@ Three evaluators give J_nu(x) and J_{nu+1}(x) together:
   continued fraction in float-only arithmetic, each level adding 2 nu to a
   tabled 2k (fl(2 nu + 2k) = 2 fl(nu + k) exactly), x + 8 x^(1/3) + 4 levels
   deep, where its tail lies below 2^-60: the zero scan, Halley, nu_a, and at
-  x = 1 all of ``certify``'s Delta, pole test and S;
+  x = 1 all of ``certify``'s Delta, pole test and S; its negative
+  denominators also count the zeros of J_mu below x, for a zero table that
+  may not fit below x = 60;
 - ``_j_sums``, the integer sums of one fixed-point pass over J_nu's leading
   term: each zero's finish and certificate (``zeros._d_lead``), and
   ``_j_pair`` beyond the double path;
@@ -30,14 +32,17 @@ it loses about 0.43*x digits to cancellation.  There are two ways to sum it:
   nu + 1 exactly, is the same terms weighted by k (the series
   differentiated term by term), summed from the partial sums A_i of the
   first as K A_K - sum_{i<K} A_i: one addition per term, no multiplication.
-  Term denominators come by differences, and the maxima that measure
-  cancellation are read at the two peaks, found before the pass from nu and
-  x, with no comparison per term.  It starts with 73 + 1.443*x bits, adds
-  guard bits while cancellation leaves fewer than 63, and truncates the
-  result to a double, so results are faithfully rounded (error below
-  1 ulp), not always correctly rounded: against 40-digit mpmath at 300
-  random points with nu in (-1, 100] and x in (3, 60], 288 of the 600
-  values are not the nearest double; the worst is 0.998 ulp.
+  The term ratio's numerator and denominators first lose their common power
+  of 2 (nu and x are binary rationals), which leaves every truncated term
+  the same integer on about 50 fewer bits.  Term denominators come by
+  differences, and the maxima that measure cancellation are read at the two
+  peaks, found before the pass from nu and x, with no comparison per term.
+  It starts with 73 + 1.443*x bits, adds guard bits while cancellation
+  leaves fewer than 63, and truncates the result to a double, so results
+  are faithfully rounded (error below 1 ulp), not always correctly rounded:
+  against 40-digit mpmath at 300 random points with nu in (-1, 100] and x
+  in (3, 60], 288 of the 600 values are not the nearest double; the worst
+  is 0.998 ulp.
 
 All state is local and mpmath's libmp primitives are pure functions of
 (value, precision), so every function here is safe to call from any
@@ -107,7 +112,12 @@ def _j_sums(nu: float, x: float) -> tuple[int, int, int, int]:
     x J_{nu+1} = nu J_nu - x J'_nu = -lead sum (-1)^k 2k t_k (DLMF 10.6.2, the
     series differentiated) gives s1 = sum (-1)^k k t_k.  nu = p/q and x are
     binary rationals, so a term costs one multiplication and one truncating
-    division by integers; den_k = d k (k q + p) comes by differences.  With
+    division by integers; den_k = d k (k q + p) comes by differences.  d = 4
+    xd^2 is a power of 2, so c = xn^2 q and d share a power of 2, at least
+    2^min(log2 q, log2 d), which divides every den_k: divided out of c and d
+    once, it leaves every floor(t c / den_k) the same integer, and every test
+    below that compares c with a multiple of d, or their bit lengths, the same
+    outcome, so (s0, s1, prec, wp) keep their bits on shorter operands.  With
     the partial sums A_i = sum_{j<=i} (-1)^j t_j, s1 = K A_K - sum_{i<K} A_i
     exactly, so s1 costs one addition per term.  The sum runs until the term
     truncates to zero, and fails if t_500 does not; the guard grows while
@@ -127,6 +137,8 @@ def _j_sums(nu: float, x: float) -> tuple[int, int, int, int]:
     xn, xd = x.as_integer_ratio()
     p, q = nu.as_integer_ratio()
     c, d = xn * xn * q, 4 * xd * xd
+    g = math.gcd(c, d)
+    c, d = c // g, d // g
     dd = 2 * d * q  # den_k - den_{k-1} = d (2k q - q + p) grows by dd a term
     # k0, the last k with den_k <= c, and k1, the last with c k > den_k (k - 1):
     # the roots of k (k + nu) = (x/2)^2 and (k + nu)(k - 1) = (x/2)^2 in doubles,
@@ -226,7 +238,8 @@ def _levels(x: float) -> int:
 _TWO_K = tuple(2.0 * k for k in range(_levels(X_MAX) + 2))
 
 
-def _j_ratio(nu: float, x: float = 1.0, shift: int = 1) -> tuple[float, float]:
+def _j_ratio(nu: float, x: float = 1.0, shift: int = 1,
+             count: bool = False) -> tuple[float, float] | tuple[int, float]:
     """(s, s r) = (J_mu(x), J_{mu+1}(x)) / |J_mu(x)|, mu = nu + shift exactly,
     r by the backward continued fraction r_{m-1} = x / (2m - x r_m),
     r_m = J_{m+1}(x) / J_m(x) (DLMF 10.10.1), from r = 0 at
@@ -249,12 +262,24 @@ def _j_ratio(nu: float, x: float = 1.0, shift: int = 1) -> tuple[float, float]:
     holds.  A denominator of the wrong sign flips the next too, so s errs only
     at the last level, within rounding of a zero of J_mu, and r flips with it.
     At x = 1 all are positive: the defaults give (1.0, rho),
-    rho = J_{nu+2}(1) / J_{nu+1}(1), within 2 eps relative for nu in (-1, 1000]."""
-    t, s, tn = 0.0, 1.0, 2.0 * nu
+    rho = J_{nu+2}(1) / J_{nu+1}(1), within 2 eps relative for nu in (-1, 1000].
+    With ``count``, (n, r): n, the number of negative denominators, is the
+    number of sign changes in J_mu(x), J_{mu+1}(x), ..., J_M(x), which is the
+    number of zeros of J_mu in (0, x).  As x grows from 0, where all are
+    positive, a sign change enters or leaves only where one of them vanishes:
+    at a zero of J_{mu+k}, k >= 1, its neighbours have opposite signs, so the
+    three keep one change, and at a zero of J_mu, J'_mu = -J_{mu+1} there, so
+    J_mu and J_{mu+1} gain one.  A denominator that rounds to the wrong sign
+    flips the next with it, one of the two negative either way, so n errs
+    only at the last level, where r flips with it, as s does."""
+    t, n, tn = 0.0, 0, 2.0 * nu
     for k2 in _TWO_K[_levels(x) + shift:shift:-1]:
         t = x / ((tn + k2 - x * t) or -5e-324)
         if t < 0.0:  # x > 0, so t < 0 exactly where its denominator is
-            s = -s
+            n += 1
+    if count:
+        return n, t
+    s = -1.0 if n & 1 else 1.0
     return s, s * t
 
 

@@ -28,7 +28,18 @@ is not used, as a - x r rounds to 0 there).  And j_{nu,1}^-6 < sigma_3, so
 omega_1's step a step that starts below that bound ends SCAN_STEP past it,
 still straddling at most one j_{nu,k}, with no call spent in between.  So
 the scan alone proves the count: it runs until it holds ``count`` steps with
-a sign change, or fails at x = 60, before any zero is refined.
+a sign change, or fails at x = 60, before any zero is refined.  A table that
+may not fit below x = 60, ``count`` >= floor((60 - jump) / pi), is first
+counted by one continued fraction at x = 60 (for nu < 60, as J_nu has no zero
+below 60 past it, and a normal a, as for the bound on omega_1): its n
+negative denominators number the zeros of J_nu in (0, 60) (``_j_ratio``), so
+omega_1, ..., omega_n lie below 60, and omega_{n+1} does exactly where 60 r >
+a, r = J_{nu+1}(60) / J_nu(60), as a - y falls from +inf (from a for n = 0) to
+a - 60 r across (j_{nu,n}, 60).  Near a zero of J_nu at 60, n and r flip
+together, so n + [60 r > a] holds.  Fewer than ``count`` raise the scan's
+own message with that number, after one call in place of about 20; more run
+the scan.  The gate only decides whether to count: where it counts, the
+count is the scan's.
 
 The scan and Halley take D up to a positive factor from ``_j_ratio``'s
 (s, s r) = (J_nu, J_{nu+1}) / |J_nu|.  Its s = sign J_nu errs only within
@@ -418,6 +429,11 @@ def _scan_bounds(a: float, nu: float) -> tuple[float, float, float]:
     return min(start, X_MAX), min(end, X_MAX), jump
 
 
+def _too_few(a: float, nu: float, found: int, count: int) -> NumericFailure:
+    return NumericFailure(f"only {found} sign changes of D_(a={a:g},nu={nu:g}) found "
+                          f"below x={X_MAX:g}, needed {count}")
+
+
 def find_zeros(family: DiniFamily, count: int, tol: float = DEFAULT_TOL) -> ZeroTable:
     """First ``count`` positive zeros of D_{a,nu}, each with a bracket of width
     <= tol across which D changes sign and a residual |D(zero)| <= 1e-10 * scale.
@@ -430,6 +446,11 @@ def find_zeros(family: DiniFamily, count: int, tol: float = DEFAULT_TOL) -> Zero
 
     a, nu = family.a, family.nu
     x, end, jump = _scan_bounds(a, nu)
+    if count >= (X_MAX - jump) // math.pi and nu < X_MAX and a >= sys.float_info.min:
+        below, r = _j_ratio(nu, X_MAX, 0, count=True)  # the zeros of J_nu below X_MAX
+        below += X_MAX * r > a  # and omega_{below+1}, where it lies below X_MAX
+        if below < count:
+            raise _too_few(a, nu, below, count)
     sx, rx = _j_ratio(nu, x, 0)
     gx = math.copysign(1.0, a * sx - x * rx)  # sign D
     steps: list[tuple] = []
@@ -439,9 +460,7 @@ def find_zeros(family: DiniFamily, count: int, tol: float = DEFAULT_TOL) -> Zero
                 f"no sign changes of D_(a={a:g},nu={nu:g}) found below x={end!r}, "
                 "the proved bound on omega_1: the Bessel continued fraction failed")
         if x >= X_MAX:
-            raise NumericFailure(
-                f"only {len(steps)} sign changes of D_(a={a:g},nu={nu:g}) found "
-                f"below x={X_MAX:g}, needed {count}")
+            raise _too_few(a, nu, len(steps), count)
         y = min(max(x, jump) + SCAN_STEP, X_MAX) if steps else min(x + SCAN_STEP, end)
         while True:
             sy, ry = _j_ratio(nu, y, 0)

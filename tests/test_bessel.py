@@ -360,6 +360,13 @@ def outcome(fn, *args):
 @example(nu=2.0 ** -40, x=17.0)
 @example(nu=3.0, x=2.0 ** -30)
 @example(nu=-0.5, x=2.0 ** -30)
+# c = xn^2 q and d = 4 xd^2 lose their common power of 2 in the kernel: 2^55,
+# all of q, at the least x; 4, all of d, at an integer x with q = 2^52; none
+# at an integer nu; and 2, all of q, with d = 2^2002
+@example(nu=0.1, x=5e-324)
+@example(nu=-1.0 + 2.0 ** -52, x=48.0)
+@example(nu=1e300, x=59.99999999999999)
+@example(nu=0.5, x=2.0 ** -1000)
 def test_kernels_match_reference(nu, x):
     """Both kernels give the reference's bits: (s0, s1, prec, wp) and, at
     either shift, (s, s r)."""

@@ -30,7 +30,7 @@ from dinicert import (
     oracle_closed_form,
 )
 from dinicert import zeros
-from dinicert.bessel import X_MAX, _j_pair
+from dinicert.bessel import X_MAX, _j_pair, _j_ratio
 
 
 def bisect(f, lo, hi, tol=1e-13):
@@ -406,6 +406,104 @@ class TestFindZeros:
         with pytest.raises(NumericFailure) as exc:
             find_zeros(DiniFamily(1.0, Order(29.0)), 9, 1e-14)
         assert str(exc.value) == message
+
+
+def mp_zero(v, k):
+    """The double nearest j_{v,k}, v > -1, from 40-digit mpmath."""
+    with mpmath.workdps(40):
+        if v >= 0:
+            return float(mpmath.besseljzero(v, k))
+        return float(mpmath.findroot(lambda t: mpmath.besselj(v, t),
+                                     mpmath.besseljzero(v + 1, k) - 1.5))
+
+
+def mp_counts(nu, xs, alphas):
+    """For each x of xs, which lie within a few ulp of each other: the sign
+    changes on (0, x] of J_nu and of D_{a,nu} for each a of alphas, in
+    40-digit mpmath on a grid of step 0.5 that ends at x.  Both are positive
+    near 0, and at these a no two zeros of either lie within 0.5 (those of
+    J_nu are 2.99 apart)."""
+    def changes(values):
+        signs = [1] + [mpmath.sign(f) for f in values]
+        return sum(p != q for p, q in zip(signs, signs[1:]))
+
+    with mpmath.workdps(40):
+        v, counts = mpmath.mpf(nu), []
+        grid = [(t, mpmath.besselj(v, t), mpmath.besselj(v + 1, t))
+                for t in (mpmath.mpf(i) / 2 for i in range(1, math.ceil(2 * min(xs))))]
+        for x in xs:
+            t = mpmath.mpf(x)
+            points = grid + [(t, mpmath.besselj(v, t), mpmath.besselj(v + 1, t))]
+            counts.append((changes([j0 for _, j0, _ in points]),
+                           [changes([a * j0 - t * j1 for t, j0, j1 in points]) for a in alphas]))
+    return counts
+
+
+class TestCount:
+    """The continued fraction's count of the zeros of J_nu below x, and the
+    Dini count n + [x r > a] that ``find_zeros`` takes from it at x = 60 for a
+    table that may not fit below x = 60."""
+
+    ALPHAS = (0.01, 1.0, 100.0)
+
+    def check(self, nu, xs, exact):
+        for x, (zeros_j, zeros_d) in zip(xs, mp_counts(nu, xs, self.ALPHAS)):
+            n, r = _j_ratio(nu, x, 0, count=True)
+            if x in exact:
+                assert n == zeros_j
+            assert [n + (x * r > a) for a in self.ALPHAS] == zeros_d
+
+    @pytest.mark.parametrize("nu,x", [(0.0, X_MAX), (2.5, 1.0), (39.0, X_MAX), (59.5, X_MAX)])
+    def test_count_matches_mpmath(self, nu, x):
+        self.check(nu, (x,), (x,))
+
+    # One ulp either side of a zero of J_nu, where the last level's sign is
+    # within rounding, and of a zero of J_{nu+3}, where an intermediate level's
+    # is.  At the double nearest a zero of J_nu, n may err by one, and r flips
+    # with it, so only the Dini count is exact there.
+    @pytest.mark.parametrize("nu,shift,k", [(0.0, 0, 12), (-0.5, 0, 19), (-0.9, 0, 3),
+                                            (3.7, 0, 5), (0.3, 3, 2), (10.0, 3, 4),
+                                            (-0.6, 3, 5)])
+    def test_count_next_to_zeros(self, nu, shift, k):
+        z = mp_zero(mpmath.mpf(nu) + shift, k)
+        xs = (math.nextafter(z, 0.0), z, math.nextafter(z, math.inf))
+        self.check(nu, xs, xs if shift else (xs[0], xs[2]))
+
+    def test_table_that_cannot_fill_takes_one_fraction(self, monkeypatch):
+        # 4 zeros lie below 60: one fraction at x = 60 proves it, with no scan
+        # and no fixed-point pass
+        ratios, ratio = [], zeros._j_ratio
+        monkeypatch.setattr(zeros, "_j_ratio",
+                            lambda *args, **kw: ratios.append((args, kw)) or ratio(*args, **kw))
+        monkeypatch.setattr(zeros, "_j_sums", lambda *args: pytest.fail("a fixed-point pass"))
+        with pytest.raises(NumericFailure, match=r"^only 4 sign changes .* needed 12$"):
+            find_zeros(DiniFamily(3.0, Order(40.0)), 12)
+        assert ratios == [((40.0, X_MAX, 0), {"count": True})]
+
+
+def table_outcome(a, nu, count):
+    try:
+        return repr(find_zeros(DiniFamily(a, Order(nu)), count))
+    except NumericFailure as exc:
+        return str(exc)
+
+
+@settings(max_examples=200, derandomize=True, deadline=None)
+@given(a=st.floats(math.log(1e-3), math.log(1e6)).map(math.exp),
+       nu=st.floats(-1.0, 60.0, exclude_min=True, exclude_max=True),
+       count=st.integers(1, 18))
+@example(a=3.0, nu=40.0, count=12)
+@example(a=1.0, nu=20.0, count=11)  # the 11th zero lies at 59.9165
+@example(a=1.0, nu=20.0, count=12)
+@example(a=1.18, nu=-0.03, count=16)
+def test_count_changes_no_outcome(a, nu, count):
+    """Each table, or its failure message, is the one the scan alone gives:
+    with the count off, as the fraction's (MAX_ZEROS, 0.0) leaves it."""
+    counted, ratio = table_outcome(a, nu, count), zeros._j_ratio
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(zeros, "_j_ratio", lambda nu, x, shift=1, count=False: (
+            (zeros.MAX_ZEROS, 0.0) if count else ratio(nu, x, shift)))
+        assert table_outcome(a, nu, count) == counted
 
 
 class TestIntervalNewton:
