@@ -160,10 +160,11 @@ def _j_sums(nu: float, x: float) -> tuple[int, int, int, int]:
         t = s0 = 1 << prec
         u = k = den = 0  # u = sum_{i<k} A_i
         e = d * (p - q)  # so the first step gives den_1 = d (q + p)
-        peaks = []  # t_k0, then t_k1
-        # Two terms a step, odd (to) then even (t), so k is even between steps.
-        for peak in (k0, k1):
-            while k < peak:
+        peaks = []  # t_k0, t_k1, then the end stop's value, unused
+        # Two terms a step, odd (to) then even (t), so k is even between steps;
+        # t >= 2^prec up to k0 and k t rises on to k1, so t is 0 only in the tail.
+        for stop in (k0, k1, 500):
+            while t and k < stop:
                 u += s0
                 e += dd
                 den += e
@@ -175,19 +176,7 @@ def _j_sums(nu: float, x: float) -> tuple[int, int, int, int]:
                 t = to * c // den
                 s0 += t
                 k += 2
-            peaks.append(t if k == peak else to)
-        while t and k < 500:
-            u += s0
-            e += dd
-            den += e
-            t = t * c // den
-            s0 -= t
-            u += s0
-            e += dd
-            den += e
-            t = t * c // den
-            s0 += t
-            k += 2
+            peaks.append(t if k == stop else to)
         if t:
             raise NumericFailure(f"Bessel series did not converge at nu={nu}, x={x}")
         s1 = k * s0 - u

@@ -75,14 +75,14 @@ J_{nu+1} matched to Z, Z' and Z'' at both ends, from the Riccati equation Z' =
 ((2 nu + 2) Z - Z^2) / x - x: Z is smooth below j_{nu,1}, as J_{nu+1} > 0
 there, and D = 0 where Z = x^2 / a (67 starts on those inputs, median error
 1.9e-9, 96% within 1e-6 x).  Else, and for a subnormal a, Halley starts at the
-shorter Newton step from the end values that lands inside, else at the middle.
-Only the start moves; every result keeps its bits.  D'' comes
-from the Bessel equation; Halley's c = 1 - D D'' / (2 D'^2) is taken in (0.5,
-2) only, else Newton's step.  It stops at a Newton step or bracket of one ulp
-of x, or after a step <= 1e-6 x that shrank 1000-fold (steps of x / (nu + 2),
-where D ~ x^(nu+2), do not; a predicted start is a step of its distance to the
-nearer end), leaving the rest to the finish; a rejected step bisects,
-geometrically across more than a factor 4.  The finish takes ``_d_lead``, one
+middle.  Only the start moves; every result keeps its bits.  D' is
+``_dprime_from_pair``'s, as in the finish, and D'' comes from the Bessel
+equation; Halley's c = 1 - D D'' / (2 D'^2) is taken in (0.5, 2) only, else
+Newton's step.  It stops at a Newton step or bracket of one ulp of x, or
+after a step <= 1e-6 x that shrank 1000-fold (steps of x / (nu + 2), where D ~
+x^(nu+2), do not; a predicted start is a step of its distance to the nearer
+end), leaving the rest to the finish; a rejected step bisects, geometrically
+across more than a factor 4.  The finish takes ``_d_lead``, one
 fixed-point pass, at x: D / lead = num / den exactly, num = an s0 + 2 ad s1 and
 den = ad 2^prec for a = an / ad, so d = num / den rounds once.  Up to two
 Newton steps on d move x, bounded by the scan step, not by the Newton bracket,
@@ -327,7 +327,7 @@ def _refine(family: DiniFamily, n: int, lo: float, hi: float, jlo: tuple[float, 
     """Zero number n in the scan step (lo, hi), where ``_j_ratio`` gave jlo and
     jhi, refined and certified as the module docstring describes: Halley from
     ``_phase_start``'s prediction, else in the first step from
-    ``_hermite_start``'s, else from the end values or the middle."""
+    ``_hermite_start``'s, else from the middle."""
     a, nu = family.a, family.nu
     slo, step_lo, step_hi = math.copysign(1.0, a * jlo[0] - lo * jlo[1]), lo, hi
     by_pair = a < sys.float_info.min  # a - x r ~ a near the zero
@@ -337,15 +337,11 @@ def _refine(family: DiniFamily, n: int, lo: float, hi: float, jlo: tuple[float, 
         if y is None and n == 1 and jlo[0] == jhi[0]:  # the first step, below j_{nu,1}
             y = _hermite_start(a, nu, lo, hi, jlo, jhi)
     x, prev = (y, min(y - lo, hi - y)) if y is not None else (0.5 * (lo + hi), math.inf)
-    for end, (j0, j1) in ((lo, jlo), (hi, jhi)) if y is None and not by_pair else ():
-        dp = _dprime_from_pair(a, nu, end, j0, j1)  # Newton's step from the end
-        if dp != 0.0 and lo < (y := end - (a * j0 - end * j1) / dp) < hi and abs(y - end) < prev:
-            x, prev = y, abs(y - end)
     g = a - nu
     for _ in range(100):
         j0, j1 = _j_pair(nu, x) if by_pair else _j_ratio(nu, x, 0)
         # Halley on D up to a positive factor; D'' from the Bessel equation
-        d, dp, q = a * j0 - x * j1, (a * nu / x - x) * j0 + (nu - a) * j1, (nu / x) * (nu / x)
+        d, dp, q = a * j0 - x * j1, _dprime_from_pair(a, nu, x, j0, j1), (nu / x) * (nu / x)
         ddp = (nu * nu / x - x - g / x) * (nu / x * j0 - j1) - (g * (1.0 - q) + 1.0 + q) * j0
         t, c = (d / dp, 1.0 - 0.5 * d / dp * ddp / dp) if dp != 0.0 else (math.inf, 0.0)
         step = t / c if 0.5 < c < 2.0 else t

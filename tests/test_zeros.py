@@ -145,7 +145,8 @@ class TestDiniPrime:
 
 def vanishing_finish(monkeypatch):
     """Make D' read 0 from the finish's first ``_d_lead`` pass on, a double
-    zero that no family has; Halley before it is left alone."""
+    zero that no family has.  Halley reads D' through ``_dprime_from_pair``
+    too, before that pass, so it is left alone."""
     finishing, d_lead, dprime = [], zeros._d_lead, zeros._dprime_from_pair
     monkeypatch.setattr(zeros, "_d_lead", lambda *args: finishing.append(1) or d_lead(*args))
     monkeypatch.setattr(zeros, "_dprime_from_pair",
@@ -332,7 +333,8 @@ class TestFindZeros:
 
     def test_zero_far_below_the_step_middle(self):
         # Newton from the middle of the step (0.19, 2.69) did not converge near
-        # x = 0.505; Halley from the step's end values reaches omega_1
+        # x = 0.505; the scan's bounds put omega_1 in a step 8e-5 wide, where
+        # Halley from the Hermite start reaches it
         e = find_zeros(DiniFamily(0.0008007069164642664, Order(92.99840089120748)), 1).entries[0]
         assert e.zero == 0.38798157827105395
         with mpmath.workdps(50):
@@ -615,9 +617,17 @@ class TestPhaseStart:
     @given(a=st.floats(math.log(1e-3), math.log(1e6)).map(math.exp),
            nu=st.floats(-0.999, 40.0, exclude_min=True), count=st.integers(1, 18),
            tol=st.sampled_from((1e-12, 1e-8)))
-    def test_same_bits_as_the_endpoint_start(self, a, nu, count, tol):
+    # the ends of the domain: a subnormal a, which Halley takes by the pair
+    # from the middle, and nu = 500 with a = 1e-12
+    @example(a=5e-324, nu=-0.9999999999999999, count=2, tol=1e-12)
+    @example(a=1e-12, nu=500.0, count=1, tol=1e-12)
+    # a normal a where both predictions decline: J_nu changes sign across
+    # the first step, so the Hermite start is not tried
+    @example(a=42246.230058295165, nu=-0.9667588396102019, count=1, tol=1e-12)
+    def test_same_bits_as_the_midpoint_start(self, a, nu, count, tol):
         # the start moves only where Halley begins: every zero, bracket,
-        # residual and failure message is that of the endpoint-Newton start
+        # residual and failure message is that of Halley from the middle of
+        # the scan step, as with both predictions off
         family = DiniFamily(a, Order(nu))
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(zeros, "_phase_start", lambda *args: None)
