@@ -16,12 +16,11 @@ at its extremal point z = -0.9 are corroborating numerical evidence, not proof.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 from .bessel import _j_ratio, _w_sums, w_eval
 from .criterion import BOUNDARY_BAND, POLE_REL, SumCriterion, _criterion, _tail_mass
 from .errors import NumericFailure
-from .families import DiniFamily
+from .families import DiniFamily, _Record
 from .zeros import ZeroTable, _check_count, find_zeros
 
 VERDICT_CERTIFIED = "certified"
@@ -30,29 +29,24 @@ VERDICT_INAPPLICABLE = "inapplicable"
 VERDICT_BOUNDARY = "boundary"
 
 
-@dataclass(frozen=True)
-class FactorizationCheck:
+class FactorizationCheck(_Record):
     """Max deviation between the w series and its truncated zero product."""
 
-    n_zeros: int
-    max_deviation: float
-    envelope: float
+    def __init__(self, n_zeros: int, max_deviation: float, envelope: float) -> None:
+        self._store(locals())
 
     @property
     def within_envelope(self) -> bool:
         return self.max_deviation <= self.envelope
 
 
-@dataclass(frozen=True)
-class CertReport:
+class CertReport(_Record):
     """Certification verdict with margins and corroborating evidence."""
 
-    family: DiniFamily
-    verdict: str
-    sum_criterion: SumCriterion | None
-    smallest_zero_margin: float
-    min_re_starlike: float | None
-    zero_at_unit_radius: bool = False
+    def __init__(self, family: DiniFamily, verdict: str, sum_criterion: SumCriterion | None,
+                 smallest_zero_margin: float, min_re_starlike: float | None,
+                 zero_at_unit_radius: bool = False) -> None:
+        self._store(locals())
 
 
 def starlike_sample(family: DiniFamily) -> float:

@@ -3,9 +3,9 @@
 Handlers only compute: each returns (results, diagnostics, csv_header,
 csv_rows), and ``_output`` alone renders a JSON envelope {command, inputs,
 results, diagnostics, version} or, on ``--format csv`` or selftest without
-``--json``, CSV lines (None as an empty cell).  Result dataclasses render
-their repr fields in declaration order, then their cached properties in class
-order, and those names are the wire keys.
+``--json``, CSV lines (None as an empty cell).  Result records render
+their public fields in declaration order, then their cached properties in
+class order, and those names are the wire keys.
 Floats print at up to 17 significant digits: byte-stable, exact round trip.
 Data goes to stdout, diagnostics to stderr.  Exit codes: 0 success, 1
 selftest failure, 2 validation error, 3 numeric failure.
@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import argparse
 import cmath
-import dataclasses
 import functools
 import math
 import sys
@@ -27,7 +26,7 @@ from .certify import certify
 from .criterion import (BOUNDARY_BAND, SEARCH_WINDOW, SUM_CROSS_CHECK_TOL,
                         CriticalOrder, critical_order, evaluate_criterion)
 from .errors import DomainError, NumericFailure
-from .families import DiniFamily, Order
+from .families import DiniFamily, Order, _Record
 from .zeros import DEFAULT_TOL, SCAN_STEP, X_MAX, ZeroEntry, find_zeros
 
 # ------------------------------------------------------------ rendering
@@ -64,16 +63,16 @@ def _render(obj, indent: int = 0) -> str:
     if isinstance(obj, str):
         out = obj.replace("\\", "\\\\").replace('"', '\\"')
         return f'"{out}"'
-    if dataclasses.is_dataclass(obj):
+    if isinstance(obj, _Record):
         return _render({k: getattr(obj, k) for k in _wire_keys(type(obj))}, indent)
     raise TypeError(f"cannot serialize {type(obj).__name__}")
 
 
 @functools.cache
 def _wire_keys(cls) -> tuple[str, ...]:
-    """A result class's rendered names: its repr fields in declaration order,
-    then its cached properties in class order."""
-    return (tuple(f.name for f in dataclasses.fields(cls) if f.repr)
+    """A result record's rendered names: its public fields in declaration
+    order, then its cached properties in class order."""
+    return (cls.__match_args__
             + tuple(k for k, v in vars(cls).items()
                     if isinstance(v, functools.cached_property)))
 

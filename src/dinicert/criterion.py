@@ -15,11 +15,10 @@ no zero spacing is assumed.  The critical order nu_a is the root of
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 from .bessel import _j_pair, _j_ratio
 from .errors import DomainError, NumericFailure, PoleError
-from .families import DiniFamily, _as_a, _as_nu
+from .families import DiniFamily, _as_a, _as_nu, _Record
 from .zeros import ZeroTable, _check_count, find_zeros, ismail_lower_bound
 
 POLE_REL = 1e-10
@@ -30,32 +29,24 @@ SEARCH_WINDOW = (-0.74, 2.0)
 SUM_CROSS_CHECK_TOL = 1e-8
 
 
-@dataclass(frozen=True)
-class SumCriterion:
+class SumCriterion(_Record):
     """Two-route value of S(a,nu) with enclosure data.
 
     When the first zero does not exceed 1, or the zero table cannot be
     formed, the truncated route is inapplicable and its fields are None.
     """
 
-    family: DiniFamily
-    closed_value: float
-    truncated_value: float | None
-    terms_used: int
-    tail_bound: float | None
-    threshold_margin: float
+    def __init__(self, family: DiniFamily, closed_value: float, truncated_value: float | None,
+                 terms_used: int, tail_bound: float | None, threshold_margin: float) -> None:
+        self._store(locals())
 
 
-@dataclass(frozen=True)
-class CriticalOrder:
+class CriticalOrder(_Record):
     """Root nu_a of the critical equation, with bracket and residual."""
 
-    a: float
-    nu_a: float
-    lo: float
-    hi: float
-    residual: float
-    sum_at_root: float
+    def __init__(self, a: float, nu_a: float, lo: float, hi: float, residual: float,
+                 sum_at_root: float) -> None:
+        self._store(locals())
 
 
 def _sum_from_pair(a: float, nu: float, j0: float, j1: float) -> float:

@@ -14,13 +14,12 @@ import contextlib
 import io
 import math
 import random
-from dataclasses import dataclass
 
 from .bessel import bessel_j, oracle_closed_form, w_eval
 from .certify import certify, factorization_check, starlike_sample
 from .criterion import critical_order, evaluate_criterion, sum_closed
 from .errors import DomainError
-from .families import DiniFamily, Order
+from .families import DiniFamily, Order, _Record
 from .zeros import find_zeros, ismail_lower_bound
 
 # Critical orders at a = 2 and a = 1, rounded to four decimals from the
@@ -36,12 +35,9 @@ REF_TOL = 5e-5
 RANDOM_SEED = 20250810
 
 
-@dataclass(frozen=True)
-class CheckResult:
-    id: int
-    name: str
-    passed: bool
-    detail: str
+class CheckResult(_Record):
+    def __init__(self, id: int, name: str, passed: bool, detail: str) -> None:
+        self._store(locals())
 
 
 def _fam(a: float, nu: float) -> DiniFamily:

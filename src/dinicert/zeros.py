@@ -116,12 +116,11 @@ from __future__ import annotations
 import math
 import operator
 import sys
-from dataclasses import dataclass, field
 from functools import cached_property
 
 from .bessel import X_MAX, _check_x, _j_pair, _j_ratio, _j_sums, _lead, _libmp
 from .errors import DomainError, NumericFailure
-from .families import DiniFamily
+from .families import DiniFamily, _Record, _set
 
 SCAN_STEP = 2.984375  # 191 / 64, below the 2.9971 spacing of J_nu's zeros
 MAX_ZEROS = 18
@@ -129,8 +128,7 @@ DEFAULT_TOL = 1e-12
 RESIDUAL_REL = 1e-10
 
 
-@dataclass(frozen=True)
-class ZeroEntry:
+class ZeroEntry(_Record):
     """One localized zero with its certified bracket and residual.
 
     ``_finish`` holds the finish's exact values at ``zero`` (num, den's bit
@@ -140,11 +138,9 @@ class ZeroEntry:
     such as ``certify``, pays neither.  A concurrent first read at worst forms
     it twice.  ``_finish`` takes no part in equality, hash or repr."""
 
-    n: int
-    zero: float
-    lo: float
-    hi: float
-    _finish: tuple = field(repr=False, compare=False)
+    def __init__(self, n: int, zero: float, lo: float, hi: float, _finish: tuple) -> None:
+        _set(self, "__dict__", {"n": n, "zero": zero, "lo": lo, "hi": hi,
+                                "_finish": _finish, "_key": (n, zero, lo, hi)})
 
     @cached_property
     def residual(self) -> float:
@@ -159,13 +155,12 @@ class ZeroEntry:
                                           _lead(nu, self.zero, wp), 53, lm.round_nearest)))
 
 
-@dataclass(frozen=True)
-class ZeroTable:
+class ZeroTable(_Record):
     """Ordered positive zeros omega_{a,nu,n}; immutable after construction."""
 
-    family: DiniFamily
-    tol: float
-    entries: tuple[ZeroEntry, ...]
+    def __init__(self, family: DiniFamily, tol: float, entries: tuple[ZeroEntry, ...]) -> None:
+        _set(self, "__dict__", {"family": family, "tol": tol, "entries": entries,
+                                "_key": (family, tol, entries)})
 
     @property
     def zeros(self) -> tuple[float, ...]:
@@ -442,8 +437,10 @@ def find_zeros(family: DiniFamily, count: int, tol: float = DEFAULT_TOL) -> Zero
 
     a, nu = family.a, family.nu
     x, end, jump = _scan_bounds(a, nu)
+    at_max = None  # _j_ratio(nu, X_MAX, 0), where the count forms it
     if count >= (X_MAX - jump) // math.pi and nu < X_MAX and a >= sys.float_info.min:
         below, r = _j_ratio(nu, X_MAX, 0, count=True)  # the zeros of J_nu below X_MAX
+        at_max = (-1.0, -r) if below & 1 else (1.0, r)
         below += X_MAX * r > a  # and omega_{below+1}, where it lies below X_MAX
         if below < count:
             raise _too_few(a, nu, below, count)
@@ -459,7 +456,7 @@ def find_zeros(family: DiniFamily, count: int, tol: float = DEFAULT_TOL) -> Zero
             raise _too_few(a, nu, len(steps), count)
         y = min(max(x, jump) + SCAN_STEP, X_MAX) if steps else min(x + SCAN_STEP, end)
         while True:
-            sy, ry = _j_ratio(nu, y, 0)
+            sy, ry = at_max if y == X_MAX and at_max else _j_ratio(nu, y, 0)
             gy = math.copysign(1.0, a * sy - y * ry)
             # Two zeros: omega_n, j_{nu,n} and omega_{n+1} all lie in (x, y).
             if not (gx == gy == sx != sy):  # sx = sign J_nu

@@ -443,15 +443,19 @@ class TestOutFile(object):
         assert doc["command"] == "zeros"
 
 
-# Run in a fresh interpreter with the command line as sys.argv[1:]: prints the
-# heavy libraries loaded once `cli.main` has run it (none for an empty line).
+# Run in a fresh interpreter with the command line as sys.argv[1:]: prints
+# which heavy libraries, and which of the modules that frozen dataclasses
+# load (dataclasses, inspect and what inspect imports), are loaded once
+# `cli.main` has run it (none for an empty line).  pytest itself loads the
+# latter, so only a fresh interpreter shows them.
 FOOTPRINT_PROBE = """\
 import contextlib, io, sys
 import dinicert, dinicert.cli
 if sys.argv[1:]:
     with contextlib.redirect_stdout(io.StringIO()):
         assert dinicert.cli.main(sys.argv[1:]) == 0
-print(" ".join(m for m in ("mpmath", "numpy") if m in sys.modules))
+print(" ".join(m for m in ("mpmath", "numpy", "dataclasses", "inspect", "ast", "dis", "tokenize")
+               if m in sys.modules))
 """
 
 # The same with numpy blocked, as in an install without the test extra:
@@ -481,7 +485,8 @@ class TestImportFootprint:
     """numpy loads for no command, mpmath's libmp only where a residual or a
     fixed-point pair is formed (every `zeros` run and `selftest`, never
     `certify`): `import dinicert` and the other commands start without
-    either, and every command runs with numpy absent."""
+    either, and every command runs with numpy absent.  None loads
+    dataclasses or inspect."""
 
     @pytest.mark.parametrize("name", ["import", *COMMANDS])
     def test_heavy_imports(self, name):

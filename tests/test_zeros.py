@@ -482,6 +482,20 @@ class TestCount:
             find_zeros(DiniFamily(3.0, Order(40.0)), 12)
         assert ratios == [((40.0, X_MAX, 0), {"count": True})]
 
+    def test_scan_reuses_the_fraction_at_x_max(self, monkeypatch):
+        # the 18th zero of D_(2,3) lies at 58.80, so the scan's last step ends
+        # at x = 60, where the count has already run the fraction
+        xs, ratio = [], zeros._j_ratio
+        monkeypatch.setattr(zeros, "_j_ratio",
+                            lambda nu, x, *args, **kw: xs.append(x) or ratio(nu, x, *args, **kw))
+        table = find_zeros(DiniFamily(2.0, Order(3.0)), 18)
+        assert xs.count(X_MAX) == 1 and 58.8 < table.zeros[-1] < X_MAX
+        # the reused (s, s r) has the bits of the scan's own call
+        for nu in (-0.9, 0.0, 3.0, 17.3, 59.9):
+            n, r = ratio(nu, X_MAX, 0, count=True)
+            s, sr = ratio(nu, X_MAX, 0)
+            assert s == (-1.0) ** n and sr.hex() == (s * r).hex()
+
 
 def table_outcome(a, nu, count):
     try:
@@ -500,11 +514,19 @@ def table_outcome(a, nu, count):
 @example(a=1.18, nu=-0.03, count=16)
 def test_count_changes_no_outcome(a, nu, count):
     """Each table, or its failure message, is the one the scan alone gives:
-    with the count off, as the fraction's (MAX_ZEROS, 0.0) leaves it."""
+    with the count off, as a count 2 MAX_ZEROS higher leaves it.  The offset
+    is even, so the sign (-1)^n and the ratio that the scan reuses at x = 60
+    are the fraction's own."""
     counted, ratio = table_outcome(a, nu, count), zeros._j_ratio
+
+    def uncounted(nu, x, shift=1, count=False):
+        if not count:
+            return ratio(nu, x, shift)
+        n, r = ratio(nu, x, shift, count=True)
+        return n + 2 * zeros.MAX_ZEROS, r
+
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(zeros, "_j_ratio", lambda nu, x, shift=1, count=False: (
-            (zeros.MAX_ZEROS, 0.0) if count else ratio(nu, x, shift)))
+        mp.setattr(zeros, "_j_ratio", uncounted)
         assert table_outcome(a, nu, count) == counted
 
 
