@@ -8,15 +8,23 @@ their public fields in declaration order, then their cached properties in
 class order, and those names are the wire keys.
 Floats print at up to 17 significant digits: byte-stable, exact round trip.
 Data goes to stdout, diagnostics to stderr.  Exit codes: 0 success, 1
-selftest failure, 2 validation error, 3 numeric failure.
+selftest failure, 2 validation error (an unwritable ``--out FILE`` or a
+closed stdout pipe among them), 3 numeric failure.
+
+An argv that starts with a command goes to that command's parser alone,
+once; ``--out FILE`` or ``-h`` before the command, and an argv without a
+known command, go through the full argparse tree.  Usage, help and error
+text are the same either way.
 """
 
 from __future__ import annotations
 
 import argparse
 import cmath
+import contextlib
 import functools
 import math
+import os
 import sys
 from collections.abc import Sequence
 
@@ -266,12 +274,29 @@ def _parser() -> argparse.ArgumentParser:
     st.add_argument("--only", default=None,
                     help="comma-separated check ids to run (default all)")
     st.add_argument("--json", action="store_true", help="machine-readable report")
+    p.commands = sub.choices  # name -> the command's parser, for _parse
     return p
 
 
-def main(argv: list[str] | None = None) -> int:
+def _parse(argv: Sequence[str]) -> argparse.Namespace:
+    """The flags of one call.  When argv[0] names a command, the full tree
+    would hand every later token to that command's parser, so that parser
+    alone reads them; leftovers are the full tree's error, word for word.
+    Any other argv goes through the full tree."""
+    parser = _parser()
+    command = parser.commands.get(argv[0]) if argv else None
+    if command is None:
+        return parser.parse_args(argv)
+    args, extras = command.parse_known_args(argv[1:], argparse.Namespace(out=None,
+                                                                         command=argv[0]))
+    if extras:
+        parser.error(f"unrecognized arguments: {' '.join(extras)}")
+    return args
+
+
+def main(argv: Sequence[str] | None = None) -> int:
     try:
-        args = _parser().parse_args(argv)
+        args = _parse(sys.argv[1:] if argv is None else argv)
     except SystemExit as exc:
         return int(exc.code) if exc.code else 0
     try:
@@ -283,15 +308,20 @@ def main(argv: list[str] | None = None) -> int:
     except NumericFailure as exc:
         print(f"numeric failure: {exc}", file=sys.stderr)
         return 3
-    if args.out:
-        try:
+    try:
+        if args.out:
             with open(args.out, "w") as fh:
                 fh.write(text + "\n")
-        except OSError as exc:
-            print(f"error: cannot write {args.out}: {exc.strerror}", file=sys.stderr)
-            return 2
-    else:
-        print(text)
+        else:
+            print(text)
+            sys.stdout.flush()
+    except OSError as exc:  # an unwritable FILE, or a closed stdout pipe
+        if not args.out:  # the rest of the buffer goes to devnull, not to an error at exit
+            with contextlib.suppress(OSError):
+                os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        with contextlib.suppress(OSError):
+            print(f"error: cannot write {args.out or 'stdout'}: {exc.strerror}", file=sys.stderr)
+        return 2
     # selftest's results count failed checks, and any failure exits 1
     return 1 if isinstance(results, dict) and results.get("failed") else 0
 

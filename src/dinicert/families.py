@@ -33,6 +33,14 @@ class _Record:
         values["_key"] = tuple(values.values())
         _set(self, "__dict__", values)
 
+    def __setstate__(self, state: dict) -> None:
+        """Load a pickled ``__dict__``.  A state pickled by the frozen
+        dataclasses has no ``_key``; it is formed from the public fields."""
+        state = dict(state)
+        if "_key" not in state:
+            state["_key"] = tuple(state[k] for k in self.__match_args__)
+        _set(self, "__dict__", state)
+
     def __setattr__(self, name: str, value=None) -> None:
         raise AttributeError(f"cannot assign to or delete field {name!r}")
 

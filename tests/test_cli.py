@@ -29,10 +29,14 @@ def run_inproc(argv):
     return code, out.getvalue(), err.getvalue()
 
 
-def run_python(*args):
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+def python_env():
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(
         p for p in (str(SRC), os.environ.get("PYTHONPATH")) if p))
-    return subprocess.run([sys.executable, *args], capture_output=True, text=True, env=env)
+
+
+def run_python(*args):
+    return subprocess.run([sys.executable, *args], capture_output=True, text=True,
+                          env=python_env())
 
 
 def run_subproc(argv):
@@ -173,6 +177,23 @@ class TestExitCodes:
         assert run_inproc(["--out", out, "sum", "--a", "1", "--nu", "0.5"]) == (
             2, "", f"error: cannot write {out}: {why}\n")
 
+    @pytest.mark.parametrize("argv", [["sum", "--a", "2", "--nu", "0.5"],
+                                      ["boundary", "--a", "1", "--nu", "0.5",
+                                       "--samples", "65536"]], ids=["sum", "boundary"])
+    def test_closed_stdout_pipe_is_a_validation_error(self, argv):
+        # print(text) raised BrokenPipeError: a traceback and exit 1, or, for
+        # an envelope that fits the buffer, an error at exit's flush
+        read_end, write_end = os.pipe()
+        os.close(read_end)  # before the child writes
+        env = python_env()
+        env.pop("PYTHONUNBUFFERED", None)
+        try:
+            run = subprocess.run([sys.executable, "-m", "dinicert.cli", *argv],
+                                 stdout=write_end, stderr=subprocess.PIPE, text=True, env=env)
+        finally:
+            os.close(write_end)
+        assert (run.returncode, run.stderr) == (2, "error: cannot write stdout: Broken pipe\n")
+
     def test_sum_cross_check_exits_3(self, monkeypatch):
         # tests/test_criterion.py pins the library's message
         monkeypatch.setattr(criterion, "_sum_from_pair", lambda *args: 1.5)
@@ -192,8 +213,10 @@ class TestExitCodes:
         assert cli._parser() is cli._parser()
 
     def test_unknown_flag(self):
-        code, _, _ = run_inproc(["zeros", "--a", "1", "--nu", "0.5", "--bogus"])
-        assert code == 2
+        code, out, err = run_inproc(["zeros", "--a", "1", "--nu", "0.5", "--bogus"])
+        assert (code, out) == (2, "")
+        assert err.startswith("usage: dinicert [-h] [--out FILE]")  # the full tree's error
+        assert err.endswith("dinicert: error: unrecognized arguments: --bogus\n")
 
     def test_selftest_failure_exit(self, monkeypatch):
         fake = ((99, "always fails", lambda ctx: (False, "forced")),)
@@ -443,6 +466,56 @@ class TestOutFile(object):
         assert doc["command"] == "zeros"
 
 
+# Argv shapes that the direct dispatch must leave as the full tree has them;
+# F stands for a file path.
+PARSE_SHAPES = [
+    ["zeros", "--a", "1", "--nu", "0.5", "--bogus"],
+    ["sum", "--a", "1", "--nu", "0.5", "--out", "F"],
+    ["critical", "-h"],
+    ["zeros", "--a", "1"],
+    ["eval", "--a", "x", "--nu", "0.5", "--z", "0.5"],
+    ["sum", "--a", "1", "--nu", "0.5", "--form", "csv"],
+    ["sum", "--a", "1", "--nu", "0.5", "--format=csv"],
+    ["critical", "--a", "2", "--"],
+    ["bogus", "--a", "1"],
+    [],
+    ["--out", "F", "sum", "--a", "1", "--nu", "0.5"],
+]
+
+
+class TestDirectParse:
+    """An argv that starts with a command skips the full tree's parse: the
+    flags, exit code, stdout and stderr are those of
+    ``_parser().parse_args``."""
+
+    @staticmethod
+    def outcome(parse, argv):
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            try:
+                result = repr(vars(parse(argv)))  # key order included, nan == nan
+            except SystemExit as exc:
+                result = exc.code
+        return result, out.getvalue(), err.getvalue()
+
+    @pytest.mark.parametrize("argv", [c["argv"] for c in GOLDEN] + PARSE_SHAPES,
+                             ids=["_".join(c["argv"]) for c in GOLDEN]
+                             + ["shape_" + "_".join(a) for a in PARSE_SHAPES])
+    def test_same_as_full_tree(self, argv, tmp_path, monkeypatch):
+        target = tmp_path / "out.json"
+        argv = [str(target) if tok == "F" else tok for tok in argv]
+        full = cli._parser().parse_args
+        assert self.outcome(cli._parse, argv) == self.outcome(full, argv)
+
+        def run():
+            result = run_inproc(argv), target.read_text() if target.exists() else None
+            target.unlink(missing_ok=True)
+            return result
+        direct = run()
+        monkeypatch.setattr(cli, "_parse", full)
+        assert run() == direct
+
+
 # Run in a fresh interpreter with the command line as sys.argv[1:]: prints
 # which heavy libraries, and which of the modules that frozen dataclasses
 # load (dataclasses, inspect and what inspect imports), are loaded once
@@ -498,6 +571,11 @@ class TestImportFootprint:
     def test_runs_without_numpy(self, name):
         run = run_python("-c", NO_NUMPY_PROBE, *COMMANDS[name])
         assert run.returncode == 0, run.stderr
+
+    def test_library_import_leaves_out_argparse(self):
+        # bench/run.py's setup_s times `import dinicert`; only dinicert.cli needs argparse
+        run = run_python("-c", "import sys, dinicert; print('argparse' in sys.modules)")
+        assert (run.returncode, run.stdout) == (0, "False\n"), run.stderr
 
     def test_star_import_resolves_all(self):
         namespace = {}

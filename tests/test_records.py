@@ -3,6 +3,7 @@ they replaced: constructor, immutability, eq, hash, repr, ``__match_args__``
 and pickling, with ``ZeroEntry._finish`` outside eq, hash, repr and
 ``__match_args__``."""
 
+import copyreg
 import pickle
 
 import pytest
@@ -104,6 +105,35 @@ class TestRecord:
         copy = pickle.loads(pickle.dumps(record))
         assert type(copy) is cls and copy == record and repr(copy) == text
 
+    def test_pickle_without_key(self, cls, names, values, others, text):
+        # the state that the frozen dataclasses pickled: the fields, no _key
+        copy = pickle.loads(pickle.dumps(Legacy(cls, dict(zip(names, values)))))
+        record = cls(*values)
+        assert type(copy) is cls and copy == record and hash(copy) == hash(record)
+        assert repr(copy) == text
+
+
+class Legacy:
+    """Pickles as a record of ``cls`` with ``state`` as its ``__dict__``, as
+    the frozen dataclasses did; ``__class__`` passes pickle's check that
+    ``__newobj__`` makes an object of the pickled one's class."""
+
+    def __init__(self, cls, state):
+        self.cls, self.state = cls, state
+
+    @property
+    def __class__(self):
+        return self.cls
+
+    def __reduce__(self):
+        return copyreg.__newobj__, (self.cls,), self.state
+
+
+def test_dataclass_pickle_loads_whole():
+    family = pickle.loads(pickle.dumps(Legacy(DiniFamily, {"a": 1.0, "nu": 0.5})))
+    assert family == FAM and hash(family) == hash(FAM)
+    assert repr(family) == "DiniFamily(a=1.0, nu=0.5)"
+
 
 def test_zero_entry_private_state():
     """``_finish`` takes no part in eq, hash or repr; ``residual`` is formed on
@@ -113,4 +143,8 @@ def test_zero_entry_private_state():
     assert other == entry and hash(other) == hash(entry) and repr(other) == repr(entry)
     assert "residual" not in vars(entry)
     assert entry.residual is entry.residual and "residual" in vars(entry)
+    fresh = find_zeros(DiniFamily(1.0, 0.5), 1).entries[0]
+    copy = pickle.loads(pickle.dumps(fresh))
+    assert "residual" not in vars(copy) and copy._finish == fresh._finish
+    assert copy.residual == entry.residual
     assert pickle.loads(pickle.dumps(entry)).residual == entry.residual
