@@ -59,7 +59,7 @@ import functools
 import math
 
 from .errors import DomainError, NumericFailure
-from .families import DiniFamily, Order, _as_nu
+from .families import DiniFamily, Order, _as_nu, _w_terms
 
 # Double summation is accepted only while the largest term exceeds the
 # result by less than this factor (< 1 digit lost to cancellation).
@@ -285,18 +285,13 @@ def bessel_j(order: Order | float, x: float) -> float:
 
 
 def _w_coeffs(a: float, nu: float, rmax: float) -> list[float]:
-    """c_k of w_{a,nu} = sum c_k z^(k+1), from c_0 = 1 by the term ratio
-    c_{n+1} / c_n = -(2n + 2 + a) / ((2n + a) 4 (n + 1) (nu + n + 1)), until two
-    consecutive rim terms of z w' on |z| <= rmax, (k+1) |c_k| rmax^(k+1), fall
-    below 1e-16 (1 + their sum)."""
-    c, bound, small = [1.0], rmax, 0
+    """c_k of ``_w_terms`` until two consecutive rim terms of z w' on |z| <=
+    rmax, (k+1) |c_k| rmax^(k+1), fall below 1e-16 (1 + their sum)."""
+    terms = _w_terms(a, nu)
+    c, bound, small = [next(terms)], rmax, 0
     while small < 2:
-        n = len(c) - 1
-        den = (2 * n + a) * 4.0 * (n + 1) * (nu + n + 1)
-        if n >= 400 or den == 0.0:  # 0.0 where a (nu + 1) underflows
-            raise NumericFailure("w series did not converge on the unit disk")
-        c.append(c[-1] * (-(2 * n + 2 + a) / den))
-        u = (n + 2) * abs(c[-1]) * rmax ** (n + 2)
+        c.append(ck := next(terms))
+        u = len(c) * abs(ck) * rmax ** len(c)
         bound += u
         small = small + 1 if u < 1e-16 * (1.0 + bound) else 0
     return c

@@ -1,11 +1,12 @@
 """Parameter types for the Dini family D_{a,nu} and its normalized form w_{a,nu},
-and the frozen record that every parameter and result type derives from."""
+the frozen record that every parameter and result type derives from, and w's
+Taylor coefficients, a function of (a, nu) alone."""
 
 from __future__ import annotations
 
 import math
 
-from .errors import DomainError
+from .errors import DomainError, NumericFailure
 
 _set = object.__setattr__  # writes past _Record.__setattr__
 
@@ -96,3 +97,19 @@ class DiniFamily(_Record):
     def __init__(self, a: float, nu: Order | float) -> None:
         a, nu = _as_a(a), _as_nu(nu)
         _set(self, "__dict__", {"a": a, "nu": nu, "_key": (a, nu)})
+
+
+def _w_terms(a: float, nu: float):
+    """c_0 = 1, c_1, ... of w_{a,nu} = sum c_k z^(k+1), by the term ratio
+    c_{n+1} / c_n = -(2n + 2 + a) / ((2n + a) 4 (n + 1) (nu + n + 1)); the
+    401st term, or a ratio whose denominator a (nu + 1) underflows to 0.0,
+    raises.  It evaluates no Bessel function, so it is kept out of ``bessel``,
+    whose calls the benchmark's layer trace counts, each resume included."""
+    c, n = 1.0, 0
+    while True:
+        yield c
+        den = (2 * n + a) * 4.0 * (n + 1) * (nu + n + 1)
+        if n >= 400 or den == 0.0:
+            raise NumericFailure("w series did not converge on the unit disk")
+        c *= -(2 * n + 2 + a) / den
+        n += 1

@@ -643,9 +643,10 @@ class TestPhaseStart:
     # from the middle, and nu = 500 with a = 1e-12
     @example(a=5e-324, nu=-0.9999999999999999, count=2, tol=1e-12)
     @example(a=1e-12, nu=500.0, count=1, tol=1e-12)
-    # a normal a where both predictions decline: J_nu changes sign across
-    # the first step, so the Hermite start is not tried
-    @example(a=42246.230058295165, nu=-0.9667588396102019, count=1, tol=1e-12)
+    # a normal a where both predictions decline: the step (42.76, 45.75)
+    # lies below x^2 = 1.2 (nu^2 - 1/4), and omega_1 / omega_2 = 0.87 is
+    # near enough to 1 that the Rayleigh quotient lands past the step
+    @example(a=42.85, nu=42.68, count=2, tol=1e-12)
     def test_same_bits_as_the_midpoint_start(self, a, nu, count, tol):
         # the start moves only where Halley begins: every zero, bracket,
         # residual and failure message is that of Halley from the middle of
@@ -653,16 +654,20 @@ class TestPhaseStart:
         family = DiniFamily(a, Order(nu))
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(zeros, "_phase_start", lambda *args: None)
-            mp.setattr(zeros, "_hermite_start", lambda *args: None)
+            mp.setattr(zeros, "_rayleigh_start", lambda *args: None)
             reference = table_bits(family, count, tol)
         assert table_bits(family, count, tol) == reference
 
     # first zeros: the phase model covers those with lo >= 1/2 and lo^2 >
-    # 1.2 (nu^2 - 1/4); the Hermite start those below the turning point
+    # 1.2 (nu^2 - 1/4); the Rayleigh start those below the turning point, and
+    # those whose step also holds j_{nu,1} near nu = -1, which took 3 to 6
+    # calls from the middle
     @pytest.mark.parametrize("a,nu,start", [
         (1.9145010238646418, 0.07470873876652906, "_phase_start"), (1.0, 0.3, "_phase_start"),
-        (2.0, 1.0, "_phase_start"), (0.5, 0.0, "_phase_start"), (3.6, 10.9, "_hermite_start"),
-        (0.35, 3.58, "_hermite_start"), (1.0, 20.0, "_hermite_start")])
+        (2.0, 1.0, "_phase_start"), (0.5, 0.0, "_phase_start"), (3.6, 10.9, "_rayleigh_start"),
+        (0.35, 3.58, "_rayleigh_start"), (1.0, 20.0, "_rayleigh_start"),
+        (42246.230058295165, -0.9667588396102019, "_rayleigh_start"),
+        (2.5, -0.9, "_rayleigh_start"), (2.8, -0.85, "_rayleigh_start")])
     def test_first_zero_takes_one_halley_call(self, monkeypatch, a, nu, start):
         ratio, refine, refining, calls, starts = zeros._j_ratio, zeros._refine, [False], [], []
         predict = getattr(zeros, start)
@@ -709,6 +714,40 @@ class TestPhaseStart:
             for off in (-0.15, 0.0, 0.15):
                 found += len(find_zeros(DiniFamily(a, Order(critical_order(a).nu_a + off)), 12))
         assert found == 288 and sum(calls) <= 1.1 * found
+
+
+class TestRayleighStart:
+    """Halley's first start sqrt(sigma_K / sigma_{K+1}) from w's coefficients."""
+
+    @settings(max_examples=100, derandomize=True, deadline=None)
+    @given(a=st.floats(math.log(1e-3), math.log(10.0)).map(math.exp),
+           nu=st.floats(-1.0, 60.0, exclude_min=True, exclude_max=True))
+    @example(a=1.0, nu=-1.0 + 2.0 ** -52)  # omega_1 = 1.7e-8
+    def test_near_omega_1(self, a, nu):
+        # sigma_K / sigma_{K+1} = omega_1^2 (1 + A_K) / (1 + A_{K+1}), A_K =
+        # sum_{n >= 2} (omega_1 / omega_n)^(2K), so the start lies within
+        # about (omega_1 / omega_2)^(2K) / 2 of omega_1, rounding aside
+        lo, hi, _ = zeros._scan_bounds(a, nu)  # lo < omega_1 <= hi
+        x = zeros._rayleigh_start(a, nu, lo, hi)
+        if x is None:
+            return
+        family = DiniFamily(a, Order(nu))
+        w1 = float(mp_root_near(a, nu, find_zeros(family, 1).zeros[0]))
+        try:
+            w2 = find_zeros(family, 2).zeros[1]
+        except NumericFailure:  # omega_2 lies past x = 60
+            w2 = X_MAX
+        assert abs(x - w1) <= (1e-6 + (w1 / w2) ** (2 * zeros.RAYLEIGH_K)) * w1
+
+    @pytest.mark.parametrize("a,nu", [
+        (5e-324, 0.5),  # c_1 = -inf, so the sums past sigma_1 are nan
+        (5e-324, -1.0 + 2.0 ** -52),  # a (nu + 1) underflows to 0
+        (1e-300, -1.0 + 2.0 ** -52),  # sigma_13 ~ omega_1^-26 overflows
+        (1e300, 59.0),  # omega_1, near j_{59,1} = 66.49, lies past x = 60
+        (1e308, 0.5)])  # 4a overflows, so every sum is 0
+    def test_declines(self, a, nu):
+        lo, hi, _ = zeros._scan_bounds(a, nu)
+        assert zeros._rayleigh_start(a, nu, lo, hi) is None
 
 
 @settings(max_examples=40, derandomize=True, deadline=None)
